@@ -17,7 +17,6 @@ from scipy import stats
 
 from . import fock, waves
 from .errata import build_erratum_report
-from .measurement import projective_measure, Z_BASIS
 from .protocols import (
     derive_correction_table,
     entangled_readout_demo,
@@ -26,7 +25,7 @@ from .protocols import (
     run_teleportation,
     swap_outcome_map,
 )
-from .register import BellKind, bell_pair
+from .register import BellKind
 
 RESOURCE_NAMES = {k.value: k for k in BellKind}
 
@@ -327,6 +326,9 @@ def _cmd_doubleslit(args, rng):
     invariants = {}
     if slits == "both":
         keep = res.expected >= 5.0
+        if np.count_nonzero(keep) < 2:
+            raise ValueError("fringe test needs two bins expecting >= 5 counts: "
+                             "raise --shots or lower --bins")
         chi = stats.chisquare(
             res.counts[keep],
             res.expected[keep] / res.expected[keep].sum() * res.counts[keep].sum(),
@@ -467,7 +469,7 @@ def run(argv=None):
             args, rng
         )
     except (ValueError, IndexError) as exc:
-        parser.error(str(exc))
+        parser.exit(2, f"{parser.prog} {args.subcommand}: error: {exc}\n")
     doc = {
         "config": _config_echo(args),
         "results": results,

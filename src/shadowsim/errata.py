@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import ModeGrid, single_mode_lowering
+from .fock import single_mode_lowering
 from .protocols import swap_decomposition, teleport_decomposition
 from .register import BellKind
 from .waves import ZonePartition, gaussian_packet, zone_coefficients, zone_profile
@@ -53,26 +53,11 @@ def _resource_mismatch_finding():
     }
 
 
-def _teleport_branch_finding():
-    report = teleport_decomposition(0.6, 0.8j)
+def _branch_finding(finding_id, description, report):
+    """A finding from a Bell-decomposition report."""
     return {
-        "id": "teleportation-branch-flip",
-        "description": "printed psi-branch remote states omit the spin flip the "
-                       "brute-force Bell expansion produces; phi branches match",
-        "branch_residuals": {k.value: report.residuals[k] for k in BellKind},
-        "branch_verdicts": {k.value: report.verdicts[k] for k in BellKind},
-        "reassembly_residual": report.reassembly_residual,
-        "residual": max(report.residuals.values()),
-        "verdict": report.verdict,
-    }
-
-
-def _swap_branch_finding():
-    report = swap_decomposition()
-    return {
-        "id": "swap-branch-signs",
-        "description": "double-singlet expansion on the middle pair compared "
-                       "against the printed outer-pair kinds and signs",
+        "id": finding_id,
+        "description": description,
         "branch_residuals": {k.value: report.residuals[k] for k in BellKind},
         "branch_verdicts": {k.value: report.verdicts[k] for k in BellKind},
         "reassembly_residual": report.reassembly_residual,
@@ -126,8 +111,14 @@ def build_erratum_report():
     findings = [
         _pair_prefactor_finding(),
         _resource_mismatch_finding(),
-        _teleport_branch_finding(),
-        _swap_branch_finding(),
+        _branch_finding("teleportation-branch-flip",
+                        "printed psi-branch remote states omit the spin flip the "
+                        "brute-force Bell expansion produces; phi branches match",
+                        teleport_decomposition(0.6, 0.8j)),
+        _branch_finding("swap-branch-signs",
+                        "double-singlet expansion on the middle pair compared "
+                        "against the printed outer-pair kinds and signs",
+                        swap_decomposition()),
         _ladder_factor_finding(),
         _zone_expansion_finding(),
     ]

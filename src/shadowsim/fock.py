@@ -2,18 +2,20 @@
 
 States are maps from occupation tuples to complex amplitudes, stored twice:
 a primary register and a mirrored shadow register that every operation
-updates in the same step.  Explicit matrix representations of the ladder
-operators back the commutator/anticommutator residual checks.
+updates in the same step.  ``DualFockState`` keeps the mirror contract of
+``register.check_dual``, with the amplitudes compared key by key.  Explicit
+matrix representations of the ladder operators back the
+commutator/anticommutator residual checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iter_product
 
 import numpy as np
 
-MIRROR_TOL = 1e-12
+from .register import check_dual, mirror_deviation
 
 Occupation = tuple  # tuple of ints, one entry per mode
 
@@ -78,22 +80,6 @@ class DispersionParams:
 
 
 @dataclass(frozen=True)
-class VacuumHandle:
-    """Persistent handle for the all-modes-empty background.
-
-    Annihilating a state to the zero vector never invalidates this handle;
-    it represents the background itself, not any particular amplitude vector.
-    """
-
-    grid: ModeGrid
-    quantum_numbers: tuple = ()
-
-    @property
-    def is_valid(self):
-        return True
-
-
-@dataclass(frozen=True)
 class DualFockState:
     """Occupation-number amplitudes with a mirrored shadow register."""
 
@@ -110,8 +96,12 @@ class DualFockState:
                 raise ValueError(f"occupation tuple {occ} has wrong length")
             if any(n < 0 or n > self.grid.max_occupation for n in occ):
                 raise ValueError(f"occupation tuple {occ} out of range")
-        if self.mirror_deviation() > MIRROR_TOL:
-            raise ValueError("shadow register diverged from primary")
+        check_dual("fock", *self._aligned())
+
+    def _aligned(self):
+        """Primary and shadow amplitudes as two arrays in one key order."""
+        keys = list(self.primary)
+        return [self.primary[k] for k in keys], [self.shadow[k] for k in keys]
 
     def amplitude(self, occ):
         return self.primary.get(tuple(occ), 0j)
@@ -120,9 +110,7 @@ class DualFockState:
         return float(np.sqrt(sum(abs(a) ** 2 for a in self.primary.values())))
 
     def mirror_deviation(self):
-        if not self.primary:
-            return 0.0
-        return max(abs(self.primary[k] - self.shadow[k]) for k in self.primary)
+        return mirror_deviation(*self._aligned())
 
     def normalized(self):
         n = self.norm()
@@ -203,8 +191,7 @@ def apply_b_dagger(state, mode, normalize=False):
 def apply_b(state, mode, normalize=False):
     """Combined annihilation operator: occupation n -> n-1 with factor sqrt(n).
 
-    Acting on the bare vacuum yields the zero vector; the VacuumHandle for the
-    grid remains valid regardless.
+    Acting on the bare vacuum yields the zero vector (``is_zero`` set).
     """
     out = _apply_ladder(state, mode, raising=False)
     return out.normalized() if normalize and not out.is_zero else out

@@ -1,9 +1,12 @@
-"""Projective single-qubit and Bell-basis measurement with atomic collapse.
+"""Projective measurement in any orthonormal basis of one or two qubits.
 
-Both registers of a DualRegister are projected in one step; no intermediate
-state in which primary and shadow disagree is ever exposed.  Each record also
-carries the conditional state of the unmeasured qubits read two ways: from the
-shadow register (the nonlocality mechanism under test) and from the primary.
+One kernel serves every measurement: ``_project`` contracts an outcome ket
+with the target qubits of the stacked primary/shadow pair, ``_embed`` puts
+it back, and ``_measure`` samples an outcome (``Z_BASIS``, ``X_BASIS`` or any
+2x2 basis; ``BELL_BASIS`` for a pair) and collapses both registers in one
+step. Each record also carries the conditional state of the unmeasured
+qubits read two ways: from the shadow register (the nonlocality mechanism
+under test) and from the primary.
 """
 
 from __future__ import annotations
@@ -13,13 +16,13 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .register import BellKind, DualRegister, HADAMARD
-
-BASIS_TOL = 1e-10
+from .register import BellKind, DualRegister, HADAMARD, check_unitary, from_amplitudes
 
 # columns are the outcome states
 Z_BASIS = np.eye(2, dtype=complex)
 X_BASIS = HADAMARD.copy()
+BELL_BASIS = np.column_stack([k.amplitudes() for k in BellKind])
+BELL_LABELS = tuple(BellKind)
 
 
 @dataclass(frozen=True)
@@ -31,46 +34,93 @@ class MeasurementRecord:
     remote_state_direct: Optional[DualRegister]
 
 
-def _check_basis(basis):
-    basis = np.asarray(basis, dtype=complex)
-    if basis.shape != (2, 2):
-        raise ValueError("basis must be a 2x2 matrix with outcome columns")
-    if np.max(np.abs(basis.conj().T @ basis - np.eye(2))) > BASIS_TOL:
-        raise ValueError("basis is not orthonormal")
-    return basis
+def sample_outcome(u, probs):
+    """Outcome index drawn by a uniform u in [0, 1) under probs: the first k
+    with u < p_0 + ... + p_k. When rounding leaves u >= sum(probs), the last
+    outcome whose probability is above round-off, never a zero-weight one."""
+    acc = 0.0
+    for k, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return k
+    floor = len(probs) * np.finfo(float).eps * max(probs)
+    return max(k for k, p in enumerate(probs) if p > floor)
 
 
-def _conditional(vec, n, qubit, outcome_vec):
-    """Unnormalized amplitudes of the other qubits given the outcome."""
-    a = vec.reshape([2] * n)
-    return np.tensordot(outcome_vec.conj(), a, axes=([0], [qubit])).reshape(-1)
+def _project(vecs, n, targets, ket):
+    """Contract <ket| with the target qubits of every row of vecs, shape
+    (..., 2**n): the unnormalized amplitudes of the other qubits, shape
+    (..., 2**(n - len(targets)))."""
+    vecs = np.asarray(vecs, dtype=complex)
+    lead = vecs.shape[:-1]
+    t = len(targets)
+    a = vecs.reshape(lead + (2,) * n)
+    bra = np.conj(ket).reshape((2,) * t)
+    out = np.tensordot(bra, a, axes=(list(range(t)), [len(lead) + q for q in targets]))
+    return out.reshape(lead + (-1,))
 
 
-def _reinsert(cond, n, qubit, outcome_vec):
-    a = np.tensordot(outcome_vec, cond.reshape([2] * (n - 1)), axes=0)
-    return np.moveaxis(a, 0, qubit).reshape(-1)
+def _embed(conds, n, targets, ket):
+    """Inverse of _project: |ket> on the target qubits, tensored with every
+    row of conds in the order of the other qubits."""
+    conds = np.asarray(conds)
+    lead = conds.shape[:-1]
+    t = len(targets)
+    a = np.tensordot(np.reshape(ket, (2,) * t), conds.reshape(lead + (2,) * (n - t)), axes=0)
+    a = np.moveaxis(a, range(t), [len(lead) + q for q in targets])
+    return a.reshape(lead + (-1,))
+
+
+def _branches(state, targets, basis):
+    """Conditional stacked pair for each basis column, and Born probabilities."""
+    pair = state.pair
+    conds = [_project(pair, state.qubit_count, targets, basis[:, k])
+             for k in range(basis.shape[1])]
+    return conds, [float(np.sum(np.abs(c[0]) ** 2)) for c in conds]
+
+
+def _remote_register(cond):
+    """The unmeasured qubits' register from conditional amplitudes, if any."""
+    if cond.size < 2 or np.linalg.norm(cond) == 0.0:
+        return None
+    return from_amplitudes(cond, cond.size.bit_length() - 1)
+
+
+def _measure(state, targets, basis, labels, rng):
+    """Sample one outcome with one rng.random() and collapse both registers."""
+    n = state.qubit_count
+    conds, probs = _branches(state, targets, basis)
+    k = sample_outcome(rng.random(), probs)
+    cond = conds[k]
+    post = _embed(cond, n, targets, basis[:, k]) / np.linalg.norm(cond[0])
+    return MeasurementRecord(
+        outcome=labels[k],
+        probability=probs[k],
+        post_state=DualRegister(n, post[0], post[1]),
+        remote_state_via_shadow=_remote_register(cond[1]),
+        remote_state_direct=_remote_register(cond[0]),
+    )
+
+
+def _check_qubit(state, qubit, basis):
+    if qubit < 0 or qubit >= state.qubit_count:
+        raise IndexError(f"qubit {qubit} out of range")
+    return check_unitary(basis, 2, "basis")
+
+
+def _check_pair(state, pair):
+    i, j = pair
+    if i == j:
+        raise ValueError("pair qubits must be distinct")
+    if any(q < 0 or q >= state.qubit_count for q in pair):
+        raise IndexError("pair qubit out of range")
+    return [i, j]
 
 
 def born_probabilities(state: DualRegister, qubit, basis=Z_BASIS):
     """Born-rule outcome probabilities for measuring one qubit in a basis."""
-    if qubit < 0 or qubit >= state.qubit_count:
-        raise IndexError(f"qubit {qubit} out of range")
-    basis = _check_basis(basis)
-    n = state.qubit_count
-    probs = tuple(
-        float(np.sum(np.abs(_conditional(state.primary, n, qubit, basis[:, k])) ** 2))
-        for k in (0, 1)
-    )
-    return probs
-
-
-def _remote_register(cond):
-    norm = np.linalg.norm(cond)
-    if cond.size < 2 or norm == 0.0:
-        return None
-    vec = cond / norm
-    n = int(round(np.log2(cond.size)))
-    return DualRegister(n, vec, vec.copy())
+    basis = _check_qubit(state, qubit, basis)
+    return tuple(_branches(state, [qubit], basis)[1])
 
 
 def projective_measure(state: DualRegister, qubit, basis=Z_BASIS, rng=None):
@@ -80,84 +130,18 @@ def projective_measure(state: DualRegister, qubit, basis=Z_BASIS, rng=None):
     amplitudes of the unmeasured qubits, extracted from the shadow register
     and, independently, from the primary register.
     """
-    rng = rng or np.random.default_rng()
-    basis = _check_basis(basis)
-    p0, p1 = born_probabilities(state, qubit, basis)
-    outcome = 0 if rng.random() < p0 else 1
-    prob = (p0, p1)[outcome]
-    n = state.qubit_count
-    ovec = basis[:, outcome]
-
-    cond_primary = _conditional(state.primary, n, qubit, ovec)
-    cond_shadow = _conditional(state.shadow, n, qubit, ovec)
-    scale = np.linalg.norm(cond_primary)
-    post_primary = _reinsert(cond_primary, n, qubit, ovec) / scale
-    post_shadow = _reinsert(cond_shadow, n, qubit, ovec) / scale
-    post = DualRegister(n, post_primary, post_shadow)
-
-    return MeasurementRecord(
-        outcome=outcome,
-        probability=prob,
-        post_state=post,
-        remote_state_via_shadow=_remote_register(cond_shadow),
-        remote_state_direct=_remote_register(cond_primary),
-    )
-
-
-def _bell_conditional(vec, n, pair, kind):
-    bell = kind.amplitudes().reshape(2, 2)
-    a = vec.reshape([2] * n)
-    return np.tensordot(bell.conj(), a, axes=([0, 1], list(pair))).reshape(-1)
-
-
-def _bell_reinsert(cond, n, pair, kind):
-    bell = kind.amplitudes().reshape(2, 2)
-    rest = cond.reshape([2] * (n - 2)) if n > 2 else cond.reshape(())
-    a = np.tensordot(bell, rest, axes=0)
-    return np.moveaxis(a, [0, 1], list(pair)).reshape(-1)
+    basis = _check_qubit(state, qubit, basis)
+    return _measure(state, [qubit], basis, (0, 1), rng or np.random.default_rng())
 
 
 def bell_outcome_probabilities(state: DualRegister, pair):
     """Born probabilities of the four Bell outcomes on the given qubit pair."""
-    i, j = pair
-    if i == j:
-        raise ValueError("pair qubits must be distinct")
-    if any(q < 0 or q >= state.qubit_count for q in pair):
-        raise IndexError("pair qubit out of range")
-    if state.qubit_count < 2:
-        raise ValueError("Bell measurement needs at least two qubits")
-    n = state.qubit_count
-    return {
-        kind: float(np.sum(np.abs(_bell_conditional(state.primary, n, pair, kind)) ** 2))
-        for kind in BellKind
-    }
+    targets = _check_pair(state, pair)
+    return dict(zip(BELL_LABELS, _branches(state, targets, BELL_BASIS)[1]))
 
 
 def bell_measure(state: DualRegister, pair, rng=None):
     """Projective Bell-basis measurement on a qubit pair, atomic collapse."""
-    rng = rng or np.random.default_rng()
-    probs = bell_outcome_probabilities(state, pair)
-    n = state.qubit_count
-    u = rng.random()
-    acc = 0.0
-    outcome = list(BellKind)[-1]
-    for kind in BellKind:
-        acc += probs[kind]
-        if u < acc:
-            outcome = kind
-            break
-
-    cond_primary = _bell_conditional(state.primary, n, pair, outcome)
-    cond_shadow = _bell_conditional(state.shadow, n, pair, outcome)
-    scale = np.linalg.norm(cond_primary)
-    post_primary = _bell_reinsert(cond_primary, n, pair, outcome) / scale
-    post_shadow = _bell_reinsert(cond_shadow, n, pair, outcome) / scale
-    post = DualRegister(n, post_primary, post_shadow)
-
-    return MeasurementRecord(
-        outcome=outcome,
-        probability=probs[outcome],
-        post_state=post,
-        remote_state_via_shadow=_remote_register(cond_shadow),
-        remote_state_direct=_remote_register(cond_primary),
-    )
+    targets = _check_pair(state, pair)
+    return _measure(state, targets, BELL_BASIS, BELL_LABELS,
+                    rng or np.random.default_rng())

@@ -1,19 +1,21 @@
 """Teleportation, entanglement swapping, and readout demonstrations.
 
 The module also contains the brute-force Bell-decomposition oracle: any state
-is expanded branch-by-branch through explicit 4x4 Bell projections, and the
-derived branches are compared against hard-coded printed branch expressions.
+is expanded branch-by-branch through the same projection kernel the Bell
+measurement uses (``measurement._project`` and ``_embed``), and the derived
+branches are compared against hard-coded printed branch expressions.
 Mismatches surface in the erratum report rather than being corrected silently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .measurement import bell_measure, projective_measure, Z_BASIS, X_BASIS
+from .measurement import (X_BASIS, Z_BASIS, _embed, _project, bell_measure,
+                          projective_measure)
 from .register import (
     BellKind,
     DualRegister,
@@ -42,23 +44,12 @@ def phase_invariant_distance(u, v):
 
 def bell_branches(vec, n, pair):
     """Unnormalized conditional vectors of the remaining qubits per Bell kind."""
-    a = np.asarray(vec, dtype=complex).reshape([2] * n)
-    out = {}
-    for kind in BellKind:
-        bell = kind.amplitudes().reshape(2, 2)
-        out[kind] = np.tensordot(bell.conj(), a, axes=([0, 1], list(pair))).reshape(-1)
-    return out
+    return {kind: _project(vec, n, pair, kind.amplitudes()) for kind in BellKind}
 
 
 def reassemble_branches(branches, n, pair):
     """Re-tensor each Bell ket with its branch and sum; inverts bell_branches."""
-    total = np.zeros([2] * n, dtype=complex)
-    for kind, cond in branches.items():
-        bell = kind.amplitudes().reshape(2, 2)
-        rest = cond.reshape([2] * (n - 2)) if n > 2 else np.asarray(cond).reshape(())
-        piece = np.tensordot(bell, rest, axes=0)
-        total += np.moveaxis(piece, [0, 1], list(pair))
-    return total.reshape(-1)
+    return sum(_embed(cond, n, pair, kind.amplitudes()) for kind, cond in branches.items())
 
 
 @dataclass(frozen=True)
@@ -172,13 +163,11 @@ class CorrectionTable:
 def _branch_matrix(resource, kind):
     """2x2 matrix M with pre-correction remote branch = M @ (alpha, beta),
     reconstructed from two linearly independent numeric probes."""
-    probes = [(1.0, 0.0), (0.6, 0.8j)]
-    cols = []
-    b0 = bell_branches(teleport_input_state(*probes[0], resource).primary, 3, (0, 1))[kind]
-    b1 = bell_branches(teleport_input_state(*probes[1], resource).primary, 3, (0, 1))[kind]
-    col0 = b0 / 1.0  # probe (1, 0) reads off the first column directly
-    col1 = (b1 - 0.6 * col0) / 0.8j
-    return np.column_stack([col0, col1])
+    probes = np.stack([teleport_input_state(1.0, 0.0, resource).primary,
+                       teleport_input_state(0.6, 0.8j, resource).primary])
+    col0, b1 = _project(probes, 3, (0, 1), kind.amplitudes())
+    # probe (1, 0) reads off the first column directly
+    return np.column_stack([col0, (b1 - 0.6 * col0) / 0.8j])
 
 
 _PAULI_CANDIDATES = [("I", PAULI_I), ("X", PAULI_X), ("Y", PAULI_Y), ("Z", PAULI_Z)]

@@ -1,7 +1,15 @@
-"""Multi-qubit dual registers: a primary amplitude vector plus its shadow.
+"""Multi-qubit dual registers, and the mirror contract every dual object keeps.
 
 Basis convention: qubit 0 is the leftmost ket slot, so basis index
 ``i = sum_k bit_k * 2**(n-1-k)`` with bit 0 = up, bit 1 = down.
+
+``check_dual`` is the one implementation of the mirror contract: the shadow
+equals the primary entry-wise within the mirror tolerance, and the primary
+has unit norm where the kind requires it. ``DualRegister``,
+``fock.DualFockState`` and ``waves.WaveGrid`` call it from ``__post_init__``.
+Its comparisons fail closed, so NaN or inf in either record is rejected.
+Operations act on the stacked pair ``np.stack((primary, shadow))`` in one
+call, so both records change in the same step.
 """
 
 from __future__ import annotations
@@ -11,9 +19,51 @@ from enum import Enum
 
 import numpy as np
 
-MIRROR_TOL = 1e-12
-NORM_TOL = 1e-12
+# per kind of dual object: the largest entry-wise |primary - shadow|, and the
+# largest distance of the primary's norm quantity (see check_dual) from one
+TOLERANCES = {
+    "register": {"mirror": 1e-12, "norm": 1e-12},
+    "fock": {"mirror": 1e-12},
+    "waves": {"mirror": 1e-10, "norm": 1e-8},
+}
 UNITARY_TOL = 1e-10
+
+
+def mirror_deviation(primary, shadow):
+    """Largest entry-wise |primary - shadow|; NaN or inf if either is non-finite."""
+    diff = np.abs(np.asarray(primary) - np.asarray(shadow))
+    return float(np.max(diff)) if diff.size else 0.0
+
+
+def check_dual(kind, primary, shadow, norm=None):
+    """Read-only complex copies of both records of a `kind` dual object, after
+    checking its mirror contract; `norm` maps the primary to the quantity that
+    must equal one, None where unnormalized states are allowed."""
+    tol = TOLERANCES[kind]
+    prim = np.array(primary, dtype=complex)
+    shad = np.array(shadow, dtype=complex)
+    if shad.shape != prim.shape:
+        raise ValueError(f"{kind}: shadow has shape {shad.shape}, primary {prim.shape}")
+    dev = mirror_deviation(prim, shad)
+    if not dev <= tol["mirror"]:
+        # dev is finite exactly when every entry of both records is
+        raise ValueError(f"{kind}: shadow diverged from primary by {dev:.3g}"
+                         if np.isfinite(dev) else f"{kind}: non-finite amplitudes")
+    if norm is not None and not abs(norm(prim) - 1.0) <= tol["norm"]:
+        raise ValueError(f"{kind}: primary is not normalized")
+    prim.setflags(write=False)
+    shad.setflags(write=False)
+    return prim, shad
+
+
+def check_unitary(u, d, what="matrix"):
+    """u as a complex d x d array; raises unless it is unitary within UNITARY_TOL."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (d, d):
+        raise ValueError(f"{what} must be {d}x{d}")
+    if not np.max(np.abs(u.conj().T @ u - np.eye(d))) <= UNITARY_TOL:
+        raise ValueError(f"{what} is not unitary")
+    return u
 
 
 class BellKind(Enum):
@@ -42,23 +92,21 @@ class DualRegister:
     shadow: np.ndarray
 
     def __post_init__(self):
-        prim = np.array(self.primary, dtype=complex)
-        shad = np.array(self.shadow, dtype=complex)
         if self.qubit_count < 1:
             raise ValueError("qubit_count must be positive")
-        if prim.shape != (2 ** self.qubit_count,) or shad.shape != prim.shape:
+        if np.shape(self.primary) != (2 ** self.qubit_count,):
             raise ValueError("amplitude vector length must be 2**qubit_count")
-        if abs(np.linalg.norm(prim) - 1.0) > NORM_TOL:
-            raise ValueError("primary register is not normalized")
-        if np.max(np.abs(prim - shad)) > MIRROR_TOL:
-            raise ValueError("shadow register diverged from primary")
-        prim.setflags(write=False)
-        shad.setflags(write=False)
+        prim, shad = check_dual("register", self.primary, self.shadow, np.linalg.norm)
         object.__setattr__(self, "primary", prim)
         object.__setattr__(self, "shadow", shad)
 
+    @property
+    def pair(self):
+        """The stacked (2, 2**n) array: row 0 the primary, row 1 the shadow."""
+        return np.stack((self.primary, self.shadow))
+
     def mirror_deviation(self):
-        return float(np.max(np.abs(self.primary - self.shadow)))
+        return mirror_deviation(self.primary, self.shadow)
 
     def basis_labels(self):
         return ["".join("ud"[int(b)] for b in f"{i:0{self.qubit_count}b}")
@@ -74,8 +122,8 @@ def from_amplitudes(coeffs, qubit_count):
             f"got {vec.shape}"
         )
     n = np.linalg.norm(vec)
-    if n == 0.0:
-        raise ValueError("cannot build a register from the zero vector")
+    if not 0.0 < n < np.inf:
+        raise ValueError(f"cannot normalize coefficients of norm {n}: zero or non-finite")
     vec = vec / n
     return DualRegister(qubit_count, vec, vec.copy())
 
@@ -87,19 +135,20 @@ def bell_pair(kind: BellKind):
 
 
 def tensor(a: DualRegister, b: DualRegister):
-    """Kronecker composition, a's qubits leftmost."""
-    prim = np.kron(a.primary, b.primary)
-    shad = np.kron(a.shadow, b.shadow)
-    return DualRegister(a.qubit_count + b.qubit_count, prim, shad)
+    """Kronecker composition, a's qubits leftmost, of both rows at once."""
+    pair = (a.pair[:, :, None] * b.pair[:, None, :]).reshape(2, -1)
+    return DualRegister(a.qubit_count + b.qubit_count, pair[0], pair[1])
 
 
-def _embed_apply(vec, n, targets, u):
+def _embed_apply(vecs, n, targets, u):
+    """u on the target qubits of every row of vecs, shape (..., 2**n)."""
+    lead = vecs.shape[:-1]
     t = len(targets)
-    a = vec.reshape([2] * n)
-    a = np.moveaxis(a, targets, range(t))
-    a = (u @ a.reshape(2 ** t, -1)).reshape([2] * n)
-    a = np.moveaxis(a, range(t), targets)
-    return a.reshape(-1)
+    qubit_axes = [len(lead) + q for q in targets]
+    a = np.moveaxis(vecs.reshape(lead + (2,) * n), qubit_axes, range(t))
+    shape = a.shape
+    a = (u @ a.reshape(2 ** t, -1)).reshape(shape)
+    return np.moveaxis(a, range(t), qubit_axes).reshape(vecs.shape)
 
 
 def apply_unitary(state: DualRegister, targets, u):
@@ -109,15 +158,9 @@ def apply_unitary(state: DualRegister, targets, u):
         raise ValueError("target qubits must be distinct")
     if any(q < 0 or q >= state.qubit_count for q in targets):
         raise IndexError("target qubit out of range")
-    u = np.asarray(u, dtype=complex)
-    d = 2 ** len(targets)
-    if u.shape != (d, d):
-        raise ValueError(f"unitary must be {d}x{d} for {len(targets)} targets")
-    if np.max(np.abs(u.conj().T @ u - np.eye(d))) > UNITARY_TOL:
-        raise ValueError("matrix is not unitary")
-    prim = _embed_apply(state.primary, state.qubit_count, targets, u)
-    shad = _embed_apply(state.shadow, state.qubit_count, targets, u)
-    return DualRegister(state.qubit_count, prim, shad)
+    u = check_unitary(u, 2 ** len(targets), f"unitary for {len(targets)} targets")
+    pair = _embed_apply(state.pair, state.qubit_count, targets, u)
+    return DualRegister(state.qubit_count, pair[0], pair[1])
 
 
 def fidelity(a: DualRegister, b: DualRegister):

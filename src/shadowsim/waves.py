@@ -2,23 +2,26 @@
 
 Time stepping uses the Cayley-form Crank-Nicolson map, which is unitary to
 round-off, so the norm and shadow-lockstep invariants survive arbitrarily long
-runs.  Collapse is realized on a finite zone partition of the grid: a zone is
-sampled by the Born rule and both wave functions are confined to it in one
-atomic step.  The double-slit accumulator propagates a two-Gaussian
-superposition to the far field with the exact spectral free propagator and
-collects single detections.
+runs.  ``WaveGrid`` keeps the mirror contract of ``register.check_dual``, and
+every step advances the primary and the shadow together: one sparse LU solve
+on an (N, 2) right-hand side, or one FFT pair over the stacked rows.  Collapse
+is realized on a finite zone partition of the grid: a zone is sampled by the
+Born rule with ``measurement.sample_outcome`` and both wave functions are
+confined to it in one atomic step.  The double-slit accumulator propagates a
+two-Gaussian superposition to the far field with the exact spectral free
+propagator and collects single detections.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-NORM_TOL = 1e-8
-MIRROR_TOL = 1e-10
+from .measurement import sample_outcome
+from .register import check_dual, mirror_deviation
 
 
 @dataclass(frozen=True)
@@ -33,23 +36,15 @@ class WaveGrid:
     mass: float = 1.0
 
     def __post_init__(self):
-        prim = np.array(self.psi_primary, dtype=complex)
-        shad = np.array(self.psi_shadow, dtype=complex)
-        if prim.ndim != 1 or prim.size < 16:
+        if np.ndim(self.psi_primary) != 1 or np.size(self.psi_primary) < 16:
             raise ValueError("grid needs at least 16 points")
-        if shad.shape != prim.shape:
-            raise ValueError("shadow wave function has wrong shape")
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
         if self.mass <= 0:
             raise ValueError("mass must be positive")
-        dx = (self.x_max - self.x_min) / prim.size
-        if abs(np.sum(np.abs(prim) ** 2) * dx - 1.0) > NORM_TOL:
-            raise ValueError("wave function is not normalized")
-        if np.max(np.abs(prim - shad)) > MIRROR_TOL:
-            raise ValueError("shadow wave function diverged from primary")
-        prim.setflags(write=False)
-        shad.setflags(write=False)
+        dx = (self.x_max - self.x_min) / np.size(self.psi_primary)
+        prim, shad = check_dual("waves", self.psi_primary, self.psi_shadow,
+                                lambda p: np.sum(np.abs(p) ** 2) * dx)
         object.__setattr__(self, "psi_primary", prim)
         object.__setattr__(self, "psi_shadow", shad)
 
@@ -70,17 +65,14 @@ class WaveGrid:
         return float(np.sqrt(np.sum(np.abs(self.psi_primary) ** 2) * self.dx))
 
     def mirror_deviation(self):
-        return float(np.max(np.abs(self.psi_primary - self.psi_shadow)))
+        return mirror_deviation(self.psi_primary, self.psi_shadow)
 
 
 def gaussian_packet(x_min, x_max, points, x0=0.0, sigma=1.0, k0=0.0, mass=1.0, t=0.0):
     """Normalized Gaussian wave packet with central momentum k0, mirrored."""
-    dx_cell = (x_max - x_min) / points
-    x = x_min + dx_cell * (np.arange(points) + 0.5)
+    x = x_min + (x_max - x_min) / points * (np.arange(points) + 0.5)
     psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma ** 2) + 1j * k0 * x)
-    dx = (x_max - x_min) / points
-    psi = psi / np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
-    return WaveGrid(x_min, x_max, psi, psi.copy(), t=t, mass=mass)
+    return from_samples(x_min, x_max, psi, mass=mass, t=t)
 
 
 def from_samples(x_min, x_max, values, mass=1.0, t=0.0):
@@ -88,8 +80,8 @@ def from_samples(x_min, x_max, values, mass=1.0, t=0.0):
     psi = np.asarray(values, dtype=complex)
     dx = (x_max - x_min) / psi.size
     n = np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero wave function")
+    if not 0.0 < n < np.inf:
+        raise ValueError(f"cannot normalize a wave function of norm {n}: zero or non-finite")
     psi = psi / n
     return WaveGrid(x_min, x_max, psi, psi.copy(), t=t, mass=mass)
 
@@ -146,29 +138,29 @@ def evolve(grid, v, dt, steps, boundary="periodic"):
     eye = sp.identity(grid.points, format="csc")
     forward = spla.splu((eye + 0.5j * dt * h).tocsc())
     back = (eye - 0.5j * dt * h).tocsc()
-    prim = grid.psi_primary.copy()
-    shad = grid.psi_shadow.copy()
+    # columns: primary and shadow, advanced by one solve per step
+    psi = np.stack((grid.psi_primary, grid.psi_shadow), axis=1)
     for _ in range(steps):
-        prim = forward.solve(back @ prim)
-        shad = forward.solve(back @ shad)
-        if not np.all(np.isfinite(prim.view(float))):
+        psi = forward.solve(back @ psi)
+        if not np.all(np.isfinite(psi)):
             raise FloatingPointError(
                 f"evolution produced non-finite amplitudes at t={grid.t} (dt={dt})"
             )
-    return WaveGrid(grid.x_min, grid.x_max, prim, shad,
+    return WaveGrid(grid.x_min, grid.x_max, psi[:, 0], psi[:, 1],
                     t=grid.t + steps * dt, mass=grid.mass)
 
 
 def free_propagate(grid, duration):
     """Exact free evolution via the spectral propagator exp(-i k^2 t / 2m).
 
-    Periodic in space; both registers advanced by the same diagonal unitary.
+    Periodic in space; both registers advanced by the same diagonal unitary
+    in one FFT pair.
     """
     k = 2.0 * np.pi * np.fft.fftfreq(grid.points, d=grid.dx)
     phase = np.exp(-1j * k ** 2 * duration / (2.0 * grid.mass))
-    prim = np.fft.ifft(phase * np.fft.fft(grid.psi_primary))
-    shad = np.fft.ifft(phase * np.fft.fft(grid.psi_shadow))
-    return WaveGrid(grid.x_min, grid.x_max, prim, shad,
+    psi = np.stack((grid.psi_primary, grid.psi_shadow))
+    psi = np.fft.ifft(phase * np.fft.fft(psi, axis=-1), axis=-1)
+    return WaveGrid(grid.x_min, grid.x_max, psi[0], psi[1],
                     t=grid.t + duration, mass=grid.mass)
 
 
@@ -241,9 +233,7 @@ def collapse_detect(grid, partition, rng=None):
     c = zone_coefficients(grid, partition)
     probs = np.abs(c) ** 2
     probs = probs / probs.sum()
-    u = rng.random()
-    zone = int(np.searchsorted(np.cumsum(probs), u))
-    zone = min(zone, partition.zone_count - 1)
+    zone = sample_outcome(rng.random(), probs)
     prof = zone_profile(grid, partition, zone)
     collapsed = WaveGrid(grid.x_min, grid.x_max, prof, prof.copy(),
                          t=grid.t, mass=grid.mass)

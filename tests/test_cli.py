@@ -137,3 +137,30 @@ def test_module_entrypoint_runs():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["invariants"]["orthonormal_basis"]["ok"] is True
+
+
+@pytest.mark.parametrize("alpha", ["nan", "1e400"])
+def test_non_finite_alpha_exits_2_with_one_line(alpha, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["teleport", "--shots", "2", f"--alpha={alpha}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("shadowsim teleport: error:")
+
+
+def test_non_finite_alpha_exits_2_from_the_shell():
+    proc = subprocess.run(
+        [sys.executable, "-m", "shadowsim.cli", "teleport", "--alpha=nan"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_doubleslit_too_few_filled_bins_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["doubleslit", "--shots", "200", "--bins", "128", "--seed", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--shots" in err and "--bins" in err

@@ -12,7 +12,6 @@ from shadowsim.fock import (
     DispersionParams,
     DualFockState,
     ModeGrid,
-    VacuumHandle,
     apply_b,
     apply_b_dagger,
     anticommutator_residual,
@@ -110,14 +109,14 @@ def test_fermion_double_creation_is_zero():
     assert again.is_zero
 
 
-def test_annihilate_vacuum_keeps_handle():
+def test_annihilate_vacuum_gives_zero_state():
     grid = boson_grid()
-    handle = VacuumHandle(grid)
     state = vacuum(grid)
     for _ in range(3):
         state = apply_b(state, 0)
-        assert handle.is_valid
-    assert state.is_zero
+        assert state.is_zero
+        assert state.primary == state.shadow == {}
+    assert state.grid == grid
 
 
 def test_annihilate_single():
