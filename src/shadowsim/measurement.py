@@ -16,7 +16,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .register import BellKind, DualRegister, HADAMARD, check_unitary, from_amplitudes
+from .register import (BellKind, DualRegister, HADAMARD, check_targets,
+                       check_unitary, from_amplitudes)
 
 # columns are the outcome states
 Z_BASIS = np.eye(2, dtype=complex)
@@ -102,25 +103,10 @@ def _measure(state, targets, basis, labels, rng):
     )
 
 
-def _check_qubit(state, qubit, basis):
-    if qubit < 0 or qubit >= state.qubit_count:
-        raise IndexError(f"qubit {qubit} out of range")
-    return check_unitary(basis, 2, "basis")
-
-
-def _check_pair(state, pair):
-    i, j = pair
-    if i == j:
-        raise ValueError("pair qubits must be distinct")
-    if any(q < 0 or q >= state.qubit_count for q in pair):
-        raise IndexError("pair qubit out of range")
-    return [i, j]
-
-
 def born_probabilities(state: DualRegister, qubit, basis=Z_BASIS):
     """Born-rule outcome probabilities for measuring one qubit in a basis."""
-    basis = _check_qubit(state, qubit, basis)
-    return tuple(_branches(state, [qubit], basis)[1])
+    targets = check_targets(state.qubit_count, [qubit])
+    return tuple(_branches(state, targets, check_unitary(basis, 2, "basis"))[1])
 
 
 def projective_measure(state: DualRegister, qubit, basis=Z_BASIS, rng=None):
@@ -130,18 +116,19 @@ def projective_measure(state: DualRegister, qubit, basis=Z_BASIS, rng=None):
     amplitudes of the unmeasured qubits, extracted from the shadow register
     and, independently, from the primary register.
     """
-    basis = _check_qubit(state, qubit, basis)
-    return _measure(state, [qubit], basis, (0, 1), rng or np.random.default_rng())
+    targets = check_targets(state.qubit_count, [qubit])
+    return _measure(state, targets, check_unitary(basis, 2, "basis"), (0, 1),
+                    rng or np.random.default_rng())
 
 
 def bell_outcome_probabilities(state: DualRegister, pair):
     """Born probabilities of the four Bell outcomes on the given qubit pair."""
-    targets = _check_pair(state, pair)
+    targets = check_targets(state.qubit_count, pair)
     return dict(zip(BELL_LABELS, _branches(state, targets, BELL_BASIS)[1]))
 
 
 def bell_measure(state: DualRegister, pair, rng=None):
     """Projective Bell-basis measurement on a qubit pair, atomic collapse."""
-    targets = _check_pair(state, pair)
+    targets = check_targets(state.qubit_count, pair)
     return _measure(state, targets, BELL_BASIS, BELL_LABELS,
                     rng or np.random.default_rng())

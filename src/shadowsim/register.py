@@ -56,6 +56,16 @@ def check_dual(kind, primary, shadow, norm=None):
     return prim, shad
 
 
+def check_targets(n, targets):
+    """targets as a list of distinct qubit indices of an n-qubit register."""
+    targets = list(targets)
+    if len(set(targets)) != len(targets):
+        raise ValueError("target qubits must be distinct")
+    if any(q < 0 or q >= n for q in targets):
+        raise IndexError("target qubit out of range")
+    return targets
+
+
 def check_unitary(u, d, what="matrix"):
     """u as a complex d x d array; raises unless it is unitary within UNITARY_TOL."""
     u = np.asarray(u, dtype=complex)
@@ -153,11 +163,7 @@ def _embed_apply(vecs, n, targets, u):
 
 def apply_unitary(state: DualRegister, targets, u):
     """Apply the same unitary to both registers on the listed target qubits."""
-    targets = list(targets)
-    if len(set(targets)) != len(targets):
-        raise ValueError("target qubits must be distinct")
-    if any(q < 0 or q >= state.qubit_count for q in targets):
-        raise IndexError("target qubit out of range")
+    targets = check_targets(state.qubit_count, targets)
     u = check_unitary(u, 2 ** len(targets), f"unitary for {len(targets)} targets")
     pair = _embed_apply(state.pair, state.qubit_count, targets, u)
     return DualRegister(state.qubit_count, pair[0], pair[1])
