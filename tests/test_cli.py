@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from shadowsim.cli import run, to_csv, to_json
+from shadowsim.cli import _merged_cell_starts, run, to_csv, to_json
 
 
 def invoke(argv, tmp_path, name="out.json"):
@@ -164,3 +164,28 @@ def test_doubleslit_too_few_filled_bins_exits_2(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--shots" in err and "--bins" in err
+
+
+def test_collapse_cells_merge_sparse_tails():
+    assert _merged_cell_starts([0.032, 500.0, 500.0, 0.032]) == [0, 2]
+    assert _merged_cell_starts([3.0, 3.0, 3.0, 3.0]) == [0, 2]
+    assert _merged_cell_starts([5.0, 5.0, 1.0]) == [0, 1]
+    assert _merged_cell_starts([2.0, 2.0]) == [0]
+
+
+@pytest.mark.parametrize("seed", [5, 33])
+def test_collapse_tail_zones_raise_no_false_alarm(seed, tmp_path):
+    # without merging, these seeds put one count in a tail zone expecting
+    # 0.032 and the chi-square rejected a correct sampler at the 0.001 level
+    code, doc = invoke(["collapse", "--shots", "1000", "--seed", str(seed)], tmp_path)
+    assert code == 0
+    assert json.loads(doc)["invariants"]["collapse_statistics"]["ok"] is True
+
+
+@pytest.mark.parametrize("argv", [["--shots", "4"], ["--zones", "3", "--shots", "200"]])
+def test_collapse_single_cell_has_nothing_to_test(argv, tmp_path):
+    # every zone merges into one cell, whose count always equals its expectation
+    code, doc = invoke(["collapse"] + argv, tmp_path)
+    results = json.loads(doc)["results"]
+    assert code == 0
+    assert (results["chi_square"], results["p_value"]) == (0.0, 1.0)

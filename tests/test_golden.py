@@ -48,8 +48,8 @@ DIGESTS = {
     "algebra-fermion/2": "4b58b59c8a1ba610b271b79a331372a26d7a743bbd9ce61ddf3506f99d94631f",
     "bell/1": "3be80321a1dc2362b0ae86908c5be07faeb60de40dd3bdcf0f466e149976b0ae",
     "bell/2": "da5077cfdca125a2b4b41258ff493da98c84feadd2c7ae1905f8826411753e87",
-    "collapse/1": "fc26fa74bac759cae5629a4fb0b85ecaf5e15e7d213dba4391a77947a0eb8c80",
-    "collapse/2": "9a470c121e60f61fd014a9b4799a3b5565f3d5754bb93f61f0c8f901ed1a970a",
+    "collapse/1": "d5b10f901a4204f353e4891577f375b70d4bffb86ab184ead887167625507bb5",
+    "collapse/2": "245edaf962719665cd77a24bb96c2600ab4eb773bd518fdc1f5338d68b44cc13",
     "doubleslit/1": "00b31a6de5b218f5ca29cf0aa850e7f7db6103d8f81cd3837146170523928406",
     "doubleslit/2": "940e229d25fe858f8a9169492d05c25230a51356b609793b297bb7eeb21992f7",
     "doubleslit-single/1": "9070e382bdfaa52b1213824e9cbd8598f3acd814684d87ae18d36b8f192879d3",
