@@ -96,10 +96,10 @@ class DualFockState:
                 raise ValueError(f"occupation tuple {occ} has wrong length")
             if any(n < 0 or n > self.grid.max_occupation for n in occ):
                 raise ValueError(f"occupation tuple {occ} out of range")
-        check_dual("fock", *self._aligned())
+        check_dual("fock", *self._aligned(), None)
 
     def _aligned(self):
-        """Primary and shadow amplitudes as two arrays in one key order."""
+        """Primary and shadow amplitudes as two lists in one key order."""
         keys = list(self.primary)
         return [self.primary[k] for k in keys], [self.shadow[k] for k in keys]
 

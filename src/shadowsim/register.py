@@ -35,7 +35,7 @@ def mirror_deviation(primary, shadow):
     return float(np.max(diff)) if diff.size else 0.0
 
 
-def check_dual(kind, primary, shadow, norm=None):
+def check_dual(kind, primary, shadow, norm):
     """Read-only complex copies of both records of a `kind` dual object, after
     checking its mirror contract; `norm` maps the primary to the quantity that
     must equal one, None where unnormalized states are allowed."""
@@ -66,7 +66,7 @@ def check_targets(n, targets):
     return targets
 
 
-def check_unitary(u, d, what="matrix"):
+def check_unitary(u, d, what):
     """u as a complex d x d array; raises unless it is unitary within UNITARY_TOL."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (d, d):

@@ -94,14 +94,14 @@ def test_from_samples_rejects_non_finite(values, index, bad):
 def test_check_dual_mirror_boundary(kind):
     tol = TOLERANCES[kind]["mirror"]
     prim = np.zeros(2, dtype=complex)
-    check_dual(kind, prim, prim + [tol, 0.0])
+    check_dual(kind, prim, prim + [tol, 0.0], None)
     with pytest.raises(ValueError):
-        check_dual(kind, prim, prim + [4.0 * tol, 0.0])
+        check_dual(kind, prim, prim + [4.0 * tol, 0.0], None)
 
 
 def test_check_dual_shape_mismatch():
     with pytest.raises(ValueError):
-        check_dual("register", [1.0, 0.0], [1.0, 0.0, 0.0])
+        check_dual("register", [1.0, 0.0], [1.0, 0.0, 0.0], None)
 
 
 # --- the outcome sampler ----------------------------------------------------------
