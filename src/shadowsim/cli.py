@@ -17,14 +17,17 @@ from scipy import stats
 
 from . import fock, waves
 from .errata import build_erratum_report
+from .measurement import sample_outcome
 from .protocols import (
     derive_correction_table,
     entangled_readout_demo,
     product_state_demo,
-    run_entanglement_swap,
-    run_teleportation,
     swap_outcome_map,
+    swap_shots,
+    teleportation_shots,
 )
+# not called here since the walker replaced them; bench/tracing.py wraps them
+from .protocols import run_entanglement_swap, run_teleportation  # noqa: F401
 from .register import BellKind
 
 RESOURCE_NAMES = {k.value: k for k in BellKind}
@@ -110,17 +113,11 @@ def _parse_complex(text):
 def _cmd_teleport(args, rng):
     resource = RESOURCE_NAMES[args.resource]
     table = derive_correction_table(resource)
-    shots, worst_fid, worst_dev = [], 1.0, 0.0
-    for s in range(args.shots):
-        r = run_teleportation(args.alpha, args.beta, resource, rng, table)
-        worst_fid = min(worst_fid, r.fidelity_with_input)
-        worst_dev = max(worst_dev, r.shadow_deviation)
-        shots.append({
-            "shot": s,
-            "outcome": r.outcome.value,
-            "probability": r.probability,
-            "fidelity": r.fidelity_with_input,
-        })
+    runs = teleportation_shots(args.alpha, args.beta, resource, args.shots, rng, table)
+    shots = [{"shot": s, "outcome": r.outcome.value, "probability": r.probability,
+              "fidelity": r.fidelity_with_input} for s, r in enumerate(runs)]
+    worst_fid = min([1.0] + [r.fidelity_with_input for r in runs])
+    worst_dev = max([0.0] + [r.shadow_deviation for r in runs])
     results = {"shots": shots, "min_fidelity": worst_fid}
     invariants = {
         "teleportation_fidelity": _invariant(1.0 - worst_fid, 1e-10),
@@ -131,18 +128,15 @@ def _cmd_teleport(args, rng):
 
 def _cmd_swap(args, rng):
     mapping = swap_outcome_map()
-    shots, counts, worst_fid, worst_dev = [], {k.value: 0 for k in BellKind}, 1.0, 0.0
-    for s in range(args.shots):
-        r = run_entanglement_swap(rng, mapping)
+    runs = swap_shots(args.shots, rng, mapping)
+    shots = [{"shot": s, "outcome": r.outcome.value,
+              "remote_kind": r.predicted_remote_kind.value,
+              "fidelity": r.fidelity_with_prediction} for s, r in enumerate(runs)]
+    counts = {k.value: 0 for k in BellKind}
+    for r in runs:
         counts[r.outcome.value] += 1
-        worst_fid = min(worst_fid, r.fidelity_with_prediction)
-        worst_dev = max(worst_dev, r.shadow_deviation)
-        shots.append({
-            "shot": s,
-            "outcome": r.outcome.value,
-            "remote_kind": r.predicted_remote_kind.value,
-            "fidelity": r.fidelity_with_prediction,
-        })
+    worst_fid = min([1.0] + [r.fidelity_with_prediction for r in runs])
+    worst_dev = max([0.0] + [r.shadow_deviation for r in runs])
     freq_dev = max(abs(counts[k.value] / args.shots - 0.25) for k in BellKind)
     sigma = np.sqrt(0.25 * 0.75 / args.shots)
     results = {
@@ -292,14 +286,13 @@ def _merged_cell_starts(expected):
 def _cmd_collapse(args, rng):
     grid = waves.gaussian_packet(-8.0, 8.0, args.points, sigma=1.0)
     partition = waves.ZonePartition.equal_zones(args.points, args.zones)
-    c = waves.zone_coefficients(grid, partition)
-    probs = np.abs(c) ** 2
-    counts = np.zeros(args.zones, dtype=int)
-    support_ok = True
-    worst_dev = 0.0
-    for _ in range(args.shots):
-        zone, collapsed = waves.collapse_detect(grid, partition, rng)
-        counts[zone] += 1
+    probs = np.abs(waves.zone_coefficients(grid, partition)) ** 2
+    zones = sample_outcome(rng.random(args.shots), probs / probs.sum())
+    counts = np.bincount(zones, minlength=args.zones)
+    support_ok, worst_dev = True, 0.0
+    # one collapsed grid per zone that some shot hit
+    for zone in np.flatnonzero(counts):
+        collapsed = waves.collapse_to(grid, partition, zone)
         worst_dev = max(worst_dev, collapsed.mirror_deviation())
         inside = collapsed.psi_primary[partition.slices(args.points)[zone]]
         support_ok &= np.count_nonzero(collapsed.psi_primary) == np.count_nonzero(inside)

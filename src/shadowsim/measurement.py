@@ -1,12 +1,14 @@
 """Projective measurement in any orthonormal basis of one or two qubits.
 
 One kernel serves every measurement: ``_project`` contracts an outcome ket
-with the target qubits of the stacked primary/shadow pair, ``_embed`` puts
-it back, and ``_measure`` samples an outcome (``Z_BASIS``, ``X_BASIS`` or any
-2x2 basis; ``BELL_BASIS`` for a pair) and collapses both registers in one
-step. Each record also carries the conditional state of the unmeasured
-qubits read two ways: from the shadow register (the nonlocality mechanism
-under test) and from the primary.
+with the target qubits of the stacked primary/shadow pair and ``_embed`` puts
+it back. One walker, ``measure_shots``, runs a sequence of measurement steps
+(``Z_BASIS``, ``X_BASIS``, any 2x2 basis, or ``BELL_BASIS`` on a pair) for
+many shots at once, collapsing both registers once per distinct outcome path;
+``projective_measure`` and ``bell_measure`` are its one-shot case. Each record
+also carries the conditional state of the unmeasured qubits read two ways:
+from the shadow register (the nonlocality mechanism under test) and from the
+primary. ``sample_outcome`` is the package's one sampler.
 """
 
 from __future__ import annotations
@@ -36,16 +38,15 @@ class MeasurementRecord:
 
 
 def sample_outcome(u, probs):
-    """Outcome index drawn by a uniform u in [0, 1) under probs: the first k
-    with u < p_0 + ... + p_k. When rounding leaves u >= sum(probs), the last
-    outcome whose probability is above round-off, never a zero-weight one."""
-    acc = 0.0
-    for k, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return k
-    floor = len(probs) * np.finfo(float).eps * max(probs)
-    return max(k for k, p in enumerate(probs) if p > floor)
+    """Outcome index drawn by a uniform u in [0, 1) under probs, for a scalar
+    u or element-wise for an array: the first k with u < p_0 + ... + p_k.
+    When rounding leaves u >= sum(probs), the last outcome whose probability
+    is above round-off, never a zero-weight one."""
+    probs = np.asarray(probs, dtype=float)
+    k = np.searchsorted(np.cumsum(probs), u, side="right")
+    floor = probs.size * np.finfo(float).eps * probs.max()
+    k = np.where(k < probs.size, k, np.flatnonzero(probs > floor)[-1])
+    return k if np.ndim(u) else int(k)
 
 
 def _project(vecs, n, targets, ket):
@@ -87,20 +88,41 @@ def _remote_register(cond):
     return from_amplitudes(cond, cond.size.bit_length() - 1)
 
 
-def _measure(state, targets, basis, labels, rng):
-    """Sample one outcome with one rng.random() and collapse both registers."""
+def measure_shots(state, steps, u):
+    """Run the measurement steps on state for every shot at once.
+
+    Each step is (targets, basis, labels) and measures the post-state of the
+    step before it. Row i of u holds shot i's uniforms, one per step, in the
+    order a per-shot loop would draw them. Returns the distinct outcome paths,
+    each a tuple of MeasurementRecords built once, and for each shot the index
+    of its path.
+    """
+    u = np.asarray(u, dtype=float)
+    if not steps:
+        return [()], np.zeros(len(u), dtype=int)
+    (targets, basis, labels), rest = steps[0], steps[1:]
     n = state.qubit_count
+    targets = check_targets(n, targets)
+    basis = check_unitary(basis, 2 ** len(targets), "basis")
     conds, probs = _branches(state, targets, basis)
-    k = sample_outcome(rng.random(), probs)
-    cond = conds[k]
-    post = _embed(cond, n, targets, basis[:, k]) / np.linalg.norm(cond[0])
-    return MeasurementRecord(
-        outcome=labels[k],
-        probability=probs[k],
-        post_state=DualRegister(n, post[0], post[1]),
-        remote_state_via_shadow=_remote_register(cond[1]),
-        remote_state_direct=_remote_register(cond[0]),
-    )
+    outcomes, shot_outcome = np.unique(sample_outcome(u[:, 0], probs), return_inverse=True)
+    paths, index = [], np.empty(len(u), dtype=int)
+    for j, k in enumerate(outcomes):
+        cond = conds[k]
+        post = _embed(cond, n, targets, basis[:, k]) / np.linalg.norm(cond[0])
+        record = MeasurementRecord(labels[k], probs[k], DualRegister(n, post[0], post[1]),
+                                   _remote_register(cond[1]), _remote_register(cond[0]))
+        shots = shot_outcome == j
+        tails, tail_index = measure_shots(record.post_state, rest, u[shots, 1:])
+        index[shots] = len(paths) + tail_index
+        paths += [(record,) + tail for tail in tails]
+    return paths, index
+
+
+def _measure(state, step, rng):
+    """One shot of one step, drawing one rng.random()."""
+    (path,), _ = measure_shots(state, [step], [[rng.random()]])
+    return path[0]
 
 
 def born_probabilities(state: DualRegister, qubit, basis=Z_BASIS):
@@ -116,9 +138,7 @@ def projective_measure(state: DualRegister, qubit, basis=Z_BASIS, rng=None):
     amplitudes of the unmeasured qubits, extracted from the shadow register
     and, independently, from the primary register.
     """
-    targets = check_targets(state.qubit_count, [qubit])
-    return _measure(state, targets, check_unitary(basis, 2, "basis"), (0, 1),
-                    rng or np.random.default_rng())
+    return _measure(state, ([qubit], basis, (0, 1)), rng or np.random.default_rng())
 
 
 def bell_outcome_probabilities(state: DualRegister, pair):
@@ -129,6 +149,4 @@ def bell_outcome_probabilities(state: DualRegister, pair):
 
 def bell_measure(state: DualRegister, pair, rng=None):
     """Projective Bell-basis measurement on a qubit pair, atomic collapse."""
-    targets = check_targets(state.qubit_count, pair)
-    return _measure(state, targets, BELL_BASIS, BELL_LABELS,
-                    rng or np.random.default_rng())
+    return _measure(state, (pair, BELL_BASIS, BELL_LABELS), rng or np.random.default_rng())

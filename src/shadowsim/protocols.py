@@ -1,5 +1,11 @@
 """Teleportation, entanglement swapping, and readout demonstrations.
 
+Every demo runs its shots through the walker ``measurement.measure_shots``:
+what the far side reads depends only on the outcome path, so each path's
+result is built once. ``teleportation_shots`` and ``swap_shots`` return one
+result per shot (``run_teleportation`` and ``run_entanglement_swap`` are
+their one-shot case) and the readout demos count shots per path.
+
 The module also contains the brute-force Bell-decomposition oracle: any state
 is expanded branch-by-branch through the same projection kernel the Bell
 measurement uses (``measurement._project`` and ``_embed``), and the derived
@@ -14,8 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .measurement import (X_BASIS, Z_BASIS, _embed, _project, bell_measure,
-                          projective_measure)
+from .measurement import (BELL_BASIS, BELL_LABELS, X_BASIS, Z_BASIS, _embed,
+                          _project, measure_shots)
+# not called here since the walker replaced them; bench/tracing.py wraps them
+from .measurement import bell_measure, projective_measure  # noqa: F401
 from .register import (
     BellKind,
     DualRegister,
@@ -170,8 +178,13 @@ def _branch_matrix(resource, kind):
     return np.column_stack([col0, (b1 - 0.6 * col0) / 0.8j])
 
 
-_PAULI_CANDIDATES = [("I", PAULI_I), ("X", PAULI_X), ("Y", PAULI_Y), ("Z", PAULI_Z)]
-_PHASES = [1.0, -1.0, 1j, -1j]
+# the phase-extended Pauli group, in search order
+_PAULI_GROUP = [phase * pauli for pauli in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+                for phase in (1.0, -1.0, 1j, -1j)]
+
+
+def _is_identity_multiple(d):
+    return abs(d[0, 1]) < 1e-10 and abs(d[1, 0]) < 1e-10 and abs(d[0, 0] - d[1, 1]) < 1e-10
 
 
 def derive_correction_table(resource: BellKind, rng=None):
@@ -185,20 +198,7 @@ def derive_correction_table(resource: BellKind, rng=None):
     for kind in BellKind:
         m = _branch_matrix(resource, kind)
         scale = np.linalg.norm(m) / np.sqrt(2.0)
-        found = None
-        for _, pauli in _PAULI_CANDIDATES:
-            for phase in _PHASES:
-                u = phase * pauli
-                d = u @ m / scale
-                if (
-                    abs(d[0, 1]) < 1e-10
-                    and abs(d[1, 0]) < 1e-10
-                    and abs(d[0, 0] - d[1, 1]) < 1e-10
-                ):
-                    found = u
-                    break
-            if found is not None:
-                break
+        found = next((u for u in _PAULI_GROUP if _is_identity_multiple(u @ m / scale)), None)
         if found is None:
             raise RuntimeError(
                 f"no Pauli-group correction found for outcome {kind}; "
@@ -207,11 +207,8 @@ def derive_correction_table(resource: BellKind, rng=None):
         # confirm on an independent random probe
         probe = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         probe /= np.linalg.norm(probe)
-        branch = m @ probe
-        corrected = found @ branch
-        if phase_invariant_distance(
-            corrected / np.linalg.norm(corrected), probe
-        ) > 1e-10:
+        corrected = found @ (m @ probe)
+        if phase_invariant_distance(corrected / np.linalg.norm(corrected), probe) > 1e-10:
             raise RuntimeError(f"correction for {kind} failed the probe check")
         unitaries[kind] = found
     return CorrectionTable(resource=resource, unitaries=unitaries)
@@ -231,27 +228,37 @@ class TeleportationResult:
     shadow_deviation: float
 
 
+def _per_shot(state, pair, shots, rng, result):
+    """result(record) of each shot's Bell measurement of the pair, one
+    rng.random() per shot; built once per distinct outcome."""
+    paths, index = measure_shots(state, [(pair, BELL_BASIS, BELL_LABELS)], rng.random((shots, 1)))
+    results = [result(record) for record, in paths]
+    return [results[i] for i in index]
+
+
+def teleportation_shots(alpha, beta, resource, shots, rng, table):
+    """One teleportation round per shot: prepare, Bell-measure (0,1), correct
+    qubit 2."""
+    norm = np.linalg.norm([alpha, beta])
+    target = from_amplitudes([alpha / norm, beta / norm], 1)
+
+    def result(record):
+        remote = record.remote_state_via_shadow
+        corrected = apply_unitary(remote, [0], table[record.outcome])
+        dev = max(record.post_state.mirror_deviation(), corrected.mirror_deviation())
+        return TeleportationResult(record.outcome, record.probability, remote, corrected,
+                                   fidelity(corrected, target), dev)
+
+    return _per_shot(teleport_input_state(alpha, beta, resource), (0, 1), shots, rng, result)
+
+
 def run_teleportation(alpha, beta, resource=BellKind.PHI_MINUS, rng=None,
                       table: Optional[CorrectionTable] = None):
-    """Full teleportation round: prepare, Bell-measure (0,1), correct qubit 2."""
+    """One shot of teleportation_shots; derives the table if none is given."""
     rng = rng or np.random.default_rng()
     if table is None:
         table = derive_correction_table(resource)
-    state = teleport_input_state(alpha, beta, resource)
-    record = bell_measure(state, (0, 1), rng)
-    remote = record.remote_state_via_shadow
-    corrected = apply_unitary(remote, [0], table[record.outcome])
-    norm = np.linalg.norm([alpha, beta])
-    target = from_amplitudes([alpha / norm, beta / norm], 1)
-    dev = max(record.post_state.mirror_deviation(), corrected.mirror_deviation())
-    return TeleportationResult(
-        outcome=record.outcome,
-        probability=record.probability,
-        pre_correction_remote=remote,
-        corrected_remote=corrected,
-        fidelity_with_input=fidelity(corrected, target),
-        shadow_deviation=dev,
-    )
+    return teleportation_shots(alpha, beta, resource, 1, rng, table)[0]
 
 
 @dataclass(frozen=True)
@@ -266,37 +273,32 @@ class SwapResult:
 def swap_outcome_map():
     """Bell kind measured on the middle pair -> Bell kind left on the outer pair,
     read off the brute-force decomposition."""
-    report = swap_decomposition()
-    mapping = {}
-    for kind in BellKind:
-        branch = report.derived_branches[kind]
-        branch = branch / np.linalg.norm(branch)
-        best = max(
-            BellKind,
-            key=lambda k: abs(np.vdot(k.amplitudes(), branch)) ** 2,
-        )
-        mapping[kind] = best
-    return mapping
+    branches = swap_decomposition().derived_branches
+    return {kind: max(BellKind, key=lambda k: abs(np.vdot(k.amplitudes(), branches[kind])))
+            for kind in BellKind}
+
+
+def swap_shots(shots, rng, outcome_map):
+    """One swap round per shot: Bell-measure the middle pair of two singlets;
+    the outer pair collapses, via the shadow register, onto the predicted
+    Bell state."""
+
+    def result(record):
+        remote = record.remote_state_via_shadow
+        predicted = outcome_map[record.outcome]
+        dev = max(record.post_state.mirror_deviation(), remote.mirror_deviation())
+        return SwapResult(record.outcome, predicted, remote,
+                          fidelity(remote, bell_pair(predicted)), dev)
+
+    return _per_shot(swap_input_state(), (1, 2), shots, rng, result)
 
 
 def run_entanglement_swap(rng=None, outcome_map=None):
-    """Bell-measure the middle pair of two singlets; the outer pair collapses,
-    via the shadow register, onto the predicted Bell state."""
+    """One shot of swap_shots; derives the outcome map if none is given."""
     rng = rng or np.random.default_rng()
     if outcome_map is None:
         outcome_map = swap_outcome_map()
-    state = swap_input_state()
-    record = bell_measure(state, (1, 2), rng)
-    remote = record.remote_state_via_shadow
-    predicted = outcome_map[record.outcome]
-    dev = max(record.post_state.mirror_deviation(), remote.mirror_deviation())
-    return SwapResult(
-        outcome=record.outcome,
-        predicted_remote_kind=predicted,
-        remote_pair=remote,
-        fidelity_with_prediction=fidelity(remote, bell_pair(predicted)),
-        shadow_deviation=dev,
-    )
+    return swap_shots(1, rng, outcome_map)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -312,36 +314,32 @@ class ReadoutStats:
     marginal0_up_fraction: float
 
 
+def _path_counts(state, steps, u):
+    """Each distinct outcome path of the steps on state, with its shot count."""
+    paths, index = measure_shots(state, steps, u)
+    return list(zip(paths, np.bincount(index, minlength=len(paths)).tolist()))
+
+
+def _step(qubit, basis):
+    return ((qubit,), basis, (0, 1))
+
+
 def entangled_readout_demo(shots, rng=None):
     """Measure one half of a phi-plus pair, read the far half via the shadow,
     then measure it; outcomes are perfectly correlated."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = rng or np.random.default_rng()
-    counts = {}
-    corr_sum = 0.0
-    min_fid = 1.0
-    ups = 0
-    for _ in range(shots):
-        state = bell_pair(BellKind.PHI_PLUS)
-        rec0 = projective_measure(state, 0, Z_BASIS, rng)
-        remote = rec0.remote_state_via_shadow
+    counts, corr, ups, min_fid = {}, 0, 0, 1.0
+    steps = [_step(0, Z_BASIS), _step(1, Z_BASIS)]
+    for (rec0, rec1), n in _path_counts(bell_pair(BellKind.PHI_PLUS), steps,
+                                        rng.random((shots, 2))):
         expected = from_amplitudes(Z_BASIS[:, rec0.outcome], 1)
-        min_fid = min(min_fid, fidelity(remote, expected))
-        rec1 = projective_measure(rec0.post_state, 1, Z_BASIS, rng)
-        key = (rec0.outcome, rec1.outcome)
-        counts[key] = counts.get(key, 0) + 1
-        s0 = 1.0 - 2.0 * rec0.outcome
-        s1 = 1.0 - 2.0 * rec1.outcome
-        corr_sum += s0 * s1
-        ups += 1 - rec0.outcome
-    return ReadoutStats(
-        shots=shots,
-        counts=counts,
-        correlation=corr_sum / shots,
-        min_remote_fidelity=min_fid,
-        marginal0_up_fraction=ups / shots,
-    )
+        min_fid = min(min_fid, fidelity(rec0.remote_state_via_shadow, expected))
+        counts[(rec0.outcome, rec1.outcome)] = n
+        corr += n * (1 - 2 * rec0.outcome) * (1 - 2 * rec1.outcome)
+        ups += n * (1 - rec0.outcome)
+    return ReadoutStats(shots, counts, corr / shots, min_fid, ups / shots)
 
 
 @dataclass(frozen=True)
@@ -369,34 +367,16 @@ def product_state_demo(shots, rng=None):
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = rng or np.random.default_rng()
-    plus = from_amplitudes([1.0, 1.0], 1)
-    counts = {"mz": 0, "cz": 0, "mx": 0, "cx": 0}
-    min_fid = 1.0
-    for _ in range(shots):
-        # measured case: qubit 0 read out first
-        state = product_plus_state()
-        rec0 = projective_measure(state, 0, Z_BASIS, rng)
-        min_fid = min(min_fid, fidelity(rec0.remote_state_via_shadow, plus))
-        if projective_measure(rec0.post_state, 1, Z_BASIS, rng).outcome == 0:
-            counts["mz"] += 1
-        state = product_plus_state()
-        rec0 = projective_measure(state, 0, Z_BASIS, rng)
-        if projective_measure(rec0.post_state, 1, X_BASIS, rng).outcome == 0:
-            counts["mx"] += 1
-        # control case: qubit 0 untouched
-        if projective_measure(product_plus_state(), 1, Z_BASIS, rng).outcome == 0:
-            counts["cz"] += 1
-        if projective_measure(product_plus_state(), 1, X_BASIS, rng).outcome == 0:
-            counts["cx"] += 1
-    mz, cz = counts["mz"] / shots, counts["cz"] / shots
-    mx, cx = counts["mx"] / shots, counts["cx"] / shots
-    return ProductStateStats(
-        shots=shots,
-        tvd_z=abs(mz - cz),
-        tvd_x=abs(mx - cx),
-        min_remote_fidelity=min_fid,
-        measured_z_up_fraction=mz,
-        control_z_up_fraction=cz,
-        measured_x_plus_fraction=mx,
-        control_x_plus_fraction=cx,
-    )
+    u = rng.random((shots, 6))
+    state, plus = product_plus_state(), from_amplitudes([1.0, 1.0], 1)
+    # each shot draws, in order: measured case (qubit 0 read out first) in z
+    # and in x, then the control case (qubit 0 untouched) in z and in x
+    measured_z = _path_counts(state, [_step(0, Z_BASIS), _step(1, Z_BASIS)], u[:, 0:2])
+    min_fid = min([1.0] + [fidelity(path[0].remote_state_via_shadow, plus)
+                           for path, _ in measured_z])
+    mz, mx, cz, cx = [sum(n for path, n in paths if path[-1].outcome == 0) / shots for paths in (
+        measured_z,
+        _path_counts(state, [_step(0, Z_BASIS), _step(1, X_BASIS)], u[:, 2:4]),
+        _path_counts(state, [_step(1, Z_BASIS)], u[:, 4:5]),
+        _path_counts(state, [_step(1, X_BASIS)], u[:, 5:6]))]
+    return ProductStateStats(shots, abs(mz - cz), abs(mx - cx), min_fid, mz, cz, mx, cx)

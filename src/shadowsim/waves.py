@@ -6,10 +6,12 @@ runs.  ``WaveGrid`` keeps the mirror contract of ``register.check_dual``, and
 every step advances the primary and the shadow together: one sparse LU solve
 on an (N, 2) right-hand side, or one FFT pair over the stacked rows.  Collapse
 is realized on a finite zone partition of the grid: a zone is sampled by the
-Born rule with ``measurement.sample_outcome`` and both wave functions are
-confined to it in one atomic step.  The double-slit accumulator propagates a
-two-Gaussian superposition to the far field with the exact spectral free
-propagator and collects single detections.
+Born rule and ``collapse_to`` confines both wave functions to it in one
+atomic step.  The double-slit accumulator propagates a two-Gaussian
+superposition to the far field with the exact spectral free propagator and
+collects single detections.  Every draw, of a zone or of a detection
+position, goes through the package's one sampler,
+``measurement.sample_outcome``, which takes one uniform or an array of them.
 """
 
 from __future__ import annotations
@@ -227,17 +229,18 @@ def zone_profile(grid, partition, i):
     return prof
 
 
+def collapse_to(grid, partition, zone):
+    """Both wave functions confined to the zone in one atomic step."""
+    prof = zone_profile(grid, partition, zone)
+    return WaveGrid(grid.x_min, grid.x_max, prof, prof.copy(), t=grid.t, mass=grid.mass)
+
+
 def collapse_detect(grid, partition, rng=None):
     """Sample a zone by the Born rule and confine both wave functions to it."""
     rng = rng or np.random.default_rng()
-    c = zone_coefficients(grid, partition)
-    probs = np.abs(c) ** 2
-    probs = probs / probs.sum()
-    zone = sample_outcome(rng.random(), probs)
-    prof = zone_profile(grid, partition, zone)
-    collapsed = WaveGrid(grid.x_min, grid.x_max, prof, prof.copy(),
-                         t=grid.t, mass=grid.mass)
-    return zone, collapsed
+    probs = np.abs(zone_coefficients(grid, partition)) ** 2
+    zone = sample_outcome(rng.random(), probs / probs.sum())
+    return zone, collapse_to(grid, partition, zone)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +345,7 @@ def double_slit_accumulate(geometry, shots, bins, rng=None, wavelength=0.05,
     xs = screen.x[window]
     p = intensity[window]
     p = p / p.sum()
-    samples = rng.choice(xs, size=shots, p=p)
+    samples = xs[sample_outcome(rng.random(shots), p)]
     edges = np.linspace(-screen_halfwidth, screen_halfwidth, bins + 1)
     counts, _ = np.histogram(samples, bins=edges)
     idx = np.clip(np.searchsorted(edges, xs, side="right") - 1, 0, bins - 1)

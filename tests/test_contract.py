@@ -139,6 +139,34 @@ def test_sampler_rounding_fallback_skips_round_off_weight():
     assert sample_outcome(TOP, probs) == 1
 
 
+def reference_sample(u, probs):
+    """The scalar loop the array sampler replaced."""
+    acc = 0.0
+    for k, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return k
+    floor = len(probs) * np.finfo(float).eps * max(probs)
+    return max(k for k, p in enumerate(probs) if p > floor)
+
+
+WEIGHT = st.one_of(st.just(0.0), st.sampled_from([1e-300, 1e-34, 2.0 ** -60, 2.0 ** -53]),
+                   st.floats(0.0, 1.0))
+UNIFORM = st.one_of(st.sampled_from([0.0, 0.5, TOP]), st.floats(0.0, 1.0, exclude_max=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(WEIGHT, min_size=1, max_size=8).filter(lambda w: sum(w) > 0),
+       st.integers(0, 4), st.lists(UNIFORM, min_size=1, max_size=20))
+def test_sampler_array_form_matches_scalar_form(weights, shrink, us):
+    # shrink pulls the sum a few ulps below one, so top draws hit the fallback
+    probs = np.array(weights) / sum(weights) * (1.0 - shrink * 2.0 ** -52)
+    ks = sample_outcome(np.array(us), probs)
+    assert ks.tolist() == [sample_outcome(u, probs) for u in us]
+    assert ks.tolist() == [reference_sample(u, probs) for u in us]
+    assert np.all(probs[ks] > 0.0)
+
+
 def test_bell_measure_top_draw_stays_on_support():
     rng = StubRng(TOP)
     rec = bell_measure(bell_pair(BellKind.PHI_PLUS), (0, 1), rng)

@@ -1,10 +1,11 @@
 """Golden output digests: every subcommand's document, byte for byte.
 
-Each case runs ``shadowsim.cli.run`` in process at a small size, for two
-seeds, and compares the sha256 of the written document with a pinned
-digest. A change that keeps every document byte-identical keeps these
-green; a change that alters output bytes on purpose must update the entries
-it alters and say so in CHANGES.md.
+Each case runs ``shadowsim.cli.run`` in process, for two seeds, and
+compares the sha256 of the written document with a pinned digest. The cases
+are small, except readout, product and collapse, which also run at their
+default 10 000 shots. A change that keeps every document byte-identical
+keeps these green; a change that alters output bytes on purpose must update
+the entries it alters and say so in CHANGES.md.
 
 The digests depend on floating-point round-off, so they hold for the
 library versions they were taken with: numpy 2.4.6, scipy 1.17.1 and
@@ -28,13 +29,16 @@ CASES = {
     "swap": ["swap", "--shots", "50"],
     "bell": ["bell"],
     "readout": ["readout", "--shots", "200"],
+    "readout-default": ["readout"],
     "product": ["product", "--shots", "100"],
+    "product-default": ["product"],
     "algebra": ["algebra", "--modes", "2", "--nmax", "3"],
     "algebra-fermion": ["algebra", "--modes", "3", "--statistics", "fermion"],
     "evolve": ["evolve", "--points", "256", "--steps", "50"],
     "evolve-harmonic": ["evolve", "--points", "256", "--steps", "50",
                         "--potential", "harmonic", "--k0", "1"],
     "collapse": ["collapse", "--shots", "300"],
+    "collapse-default": ["collapse"],
     "doubleslit": ["doubleslit", "--shots", "500", "--bins", "32"],
     "doubleslit-single": ["doubleslit", "--shots", "500", "--bins", "32",
                           "--single-slit"],
@@ -50,6 +54,8 @@ DIGESTS = {
     "bell/2": "da5077cfdca125a2b4b41258ff493da98c84feadd2c7ae1905f8826411753e87",
     "collapse/1": "d5b10f901a4204f353e4891577f375b70d4bffb86ab184ead887167625507bb5",
     "collapse/2": "245edaf962719665cd77a24bb96c2600ab4eb773bd518fdc1f5338d68b44cc13",
+    "collapse-default/1": "8edb601c73b8db9a4dbf5fcfa4efe29189cb9c6cf75b1c33378311bcbeecf7d7",
+    "collapse-default/2": "bd8eb22e4addf3325967769f0ce8b0f6d008f381242fdba73c474187d7c83ea5",
     "doubleslit/1": "00b31a6de5b218f5ca29cf0aa850e7f7db6103d8f81cd3837146170523928406",
     "doubleslit/2": "940e229d25fe858f8a9169492d05c25230a51356b609793b297bb7eeb21992f7",
     "doubleslit-single/1": "9070e382bdfaa52b1213824e9cbd8598f3acd814684d87ae18d36b8f192879d3",
@@ -62,8 +68,12 @@ DIGESTS = {
     "evolve-harmonic/2": "1dc07bd2514673c58ee54b7eac8986dd156f57e45545e1793922baeb36e3b524",
     "product/1": "d251de590254855ec9fb775289666e8607e49de6039cb4a9dbe7d481d883a015",
     "product/2": "2b34265d073a6ba91c8052379b78873c220593f401996ea2da9772f4641de04a",
+    "product-default/1": "c3b576cb9ade4811934b5ddb769f5576cdeff944b5e37d7aff6fc2e5636947e4",
+    "product-default/2": "bd66081161d42edbaa412480990fe9552da9facf7504e82096ff69442832a0ad",
     "readout/1": "587530433f5af19a76bc37bd05d0c4a46afd653c5451a49070d7b4134ed46f66",
     "readout/2": "43926ec664d0cb0dd52e9aee8f0de72d8be91d84568b0298762f5a47b718057b",
+    "readout-default/1": "9a92cbfcd4a944c39dcf758b896adac2c7a17f50494fd6c71e4f09171a8b97d1",
+    "readout-default/2": "068136397db04727a5d0b3ea6eb690d2551d85a229db94fade26f39c4d665c3e",
     "swap/1": "5b559aa73b20d6f6450628a8aa98f97f091eda2c4e6bfda4cfbea84a138827bd",
     "swap/2": "603e5a7ad238c77098b0fb7fb322c05227758f02786ae1d055641adc53e47d36",
     "teleport/1": "d8b8ca3392e4cd189379568066a7e038a3eccfae91e0811adbd0f02cf6940ca1",
