@@ -283,6 +283,16 @@ def _merged_cell_starts(expected):
     return starts
 
 
+def _merged_chisquare(counts, expected):
+    """(chi_square, p_value) of counts against expected over merged cells;
+    (0, 1) when one cell is left: its count equals its expectation, no test."""
+    starts = _merged_cell_starts(expected)
+    if len(starts) < 2:
+        return 0.0, 1.0
+    chi = stats.chisquare(np.add.reduceat(counts, starts), np.add.reduceat(expected, starts))
+    return float(chi.statistic), float(chi.pvalue)
+
+
 def _cmd_collapse(args, rng):
     grid = waves.gaussian_packet(-8.0, 8.0, args.points, sigma=1.0)
     partition = waves.ZonePartition.equal_zones(args.points, args.zones)
@@ -296,13 +306,7 @@ def _cmd_collapse(args, rng):
         worst_dev = max(worst_dev, collapsed.mirror_deviation())
         inside = collapsed.psi_primary[partition.slices(args.points)[zone]]
         support_ok &= np.count_nonzero(collapsed.psi_primary) == np.count_nonzero(inside)
-    expected = probs / probs.sum() * args.shots
-    starts = _merged_cell_starts(expected)
-    statistic, p_value = 0.0, 1.0  # one cell: observed equals expected, no test
-    if len(starts) > 1:
-        chi = stats.chisquare(np.add.reduceat(counts, starts),
-                              np.add.reduceat(expected, starts))
-        statistic, p_value = float(chi.statistic), float(chi.pvalue)
+    statistic, p_value = _merged_chisquare(counts, probs / probs.sum() * args.shots)
     results = {
         "zone_probabilities": [float(p) for p in probs],
         "zone_counts": [int(n) for n in counts],
@@ -335,18 +339,8 @@ def _cmd_doubleslit(args, rng):
     }
     invariants = {}
     if slits == "both":
-        keep = res.expected >= 5.0
-        if np.count_nonzero(keep) < 2:
-            raise ValueError("fringe test needs two bins expecting >= 5 counts: "
-                             "raise --shots or lower --bins")
-        chi = stats.chisquare(
-            res.counts[keep],
-            res.expected[keep] / res.expected[keep].sum() * res.counts[keep].sum(),
-        )
-        results["p_value"] = float(chi.pvalue)
-        invariants["fringe_statistics"] = _invariant(
-            1.0 - float(chi.pvalue), 1.0 - 0.001
-        )
+        results["p_value"] = _merged_chisquare(res.counts, res.expected)[1]
+        invariants["fringe_statistics"] = _invariant(1.0 - results["p_value"], 1.0 - 0.001)
     else:
         invariants["no_fringes"] = _invariant(res.visibility, 0.05)
     rows = [{"bin": i, "left_edge": float(res.bin_edges[i]),

@@ -56,8 +56,8 @@ DIGESTS = {
     "collapse/2": "245edaf962719665cd77a24bb96c2600ab4eb773bd518fdc1f5338d68b44cc13",
     "collapse-default/1": "8edb601c73b8db9a4dbf5fcfa4efe29189cb9c6cf75b1c33378311bcbeecf7d7",
     "collapse-default/2": "bd8eb22e4addf3325967769f0ce8b0f6d008f381242fdba73c474187d7c83ea5",
-    "doubleslit/1": "00b31a6de5b218f5ca29cf0aa850e7f7db6103d8f81cd3837146170523928406",
-    "doubleslit/2": "940e229d25fe858f8a9169492d05c25230a51356b609793b297bb7eeb21992f7",
+    "doubleslit/1": "88ccf8279789a7197070a379e5f3ec4a7a127471c14ef747089ce9bd10a467d3",
+    "doubleslit/2": "636b567c4977b33e0466307334ab050efdfb3d3b2629c14d3c43029631b735e5",
     "doubleslit-single/1": "9070e382bdfaa52b1213824e9cbd8598f3acd814684d87ae18d36b8f192879d3",
     "doubleslit-single/2": "1e6f469963622c2ea4364574505cb26c08c4236462825d1697eb0a6db9b005b6",
     "erratum/1": "7236973bdc64e7643ad2855b56aeb75aecb99702abd68fe78d0ebbcfcad71050",
