@@ -297,7 +297,8 @@ def _cmd_collapse(args, rng):
     grid = waves.gaussian_packet(-8.0, 8.0, args.points, sigma=1.0)
     partition = waves.ZonePartition.equal_zones(args.points, args.zones)
     probs = np.abs(waves.zone_coefficients(grid, partition)) ** 2
-    zones = sample_outcome(rng.random(args.shots), probs / probs.sum())
+    weights = probs / probs.sum()
+    zones = sample_outcome(rng.random(args.shots), weights)
     counts = np.bincount(zones, minlength=args.zones)
     support_ok, worst_dev = True, 0.0
     # one collapsed grid per zone that some shot hit
@@ -306,7 +307,7 @@ def _cmd_collapse(args, rng):
         worst_dev = max(worst_dev, collapsed.mirror_deviation())
         inside = collapsed.psi_primary[partition.slices(args.points)[zone]]
         support_ok &= np.count_nonzero(collapsed.psi_primary) == np.count_nonzero(inside)
-    statistic, p_value = _merged_chisquare(counts, probs / probs.sum() * args.shots)
+    statistic, p_value = _merged_chisquare(counts, weights * args.shots)
     results = {
         "zone_probabilities": [float(p) for p in probs],
         "zone_counts": [int(n) for n in counts],

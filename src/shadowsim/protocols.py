@@ -231,7 +231,8 @@ class TeleportationResult:
 def _per_shot(state, pair, shots, rng, result):
     """result(record) of each shot's Bell measurement of the pair, one
     rng.random() per shot; built once per distinct outcome."""
-    paths, index = measure_shots(state, [(pair, BELL_BASIS, BELL_LABELS)], rng.random((shots, 1)))
+    step = (pair, BELL_BASIS, BELL_LABELS)
+    paths, index = measure_shots(state, [step], rng.random((shots, 1)))
     results = [result(record) for record, in paths]
     return [results[i] for i in index]
 
@@ -374,9 +375,10 @@ def product_state_demo(shots, rng=None):
     measured_z = _path_counts(state, [_step(0, Z_BASIS), _step(1, Z_BASIS)], u[:, 0:2])
     min_fid = min([1.0] + [fidelity(path[0].remote_state_via_shadow, plus)
                            for path, _ in measured_z])
-    mz, mx, cz, cx = [sum(n for path, n in paths if path[-1].outcome == 0) / shots for paths in (
-        measured_z,
-        _path_counts(state, [_step(0, Z_BASIS), _step(1, X_BASIS)], u[:, 2:4]),
-        _path_counts(state, [_step(1, Z_BASIS)], u[:, 4:5]),
-        _path_counts(state, [_step(1, X_BASIS)], u[:, 5:6]))]
+    mz, mx, cz, cx = [
+        sum(n for path, n in paths if path[-1].outcome == 0) / shots for paths in (
+            measured_z,
+            _path_counts(state, [_step(0, Z_BASIS), _step(1, X_BASIS)], u[:, 2:4]),
+            _path_counts(state, [_step(1, Z_BASIS)], u[:, 4:5]),
+            _path_counts(state, [_step(1, X_BASIS)], u[:, 5:6]))]
     return ProductStateStats(shots, abs(mz - cz), abs(mx - cx), min_fid, mz, cz, mx, cx)

@@ -134,7 +134,8 @@ def test_swap_shots_match_the_loop(seed, shots):
     old_rng, new_rng = rngs(seed)
     old = old_swap(shots, old_rng, mapping)
     new = swap_shots(shots, new_rng, mapping)
-    assert per_shot(new, "fidelity_with_prediction") == per_shot(old, "fidelity_with_prediction")
+    fid = "fidelity_with_prediction"
+    assert per_shot(new, fid) == per_shot(old, fid)
     assert [r.predicted_remote_kind for r in new] == [r.predicted_remote_kind for r in old]
     assert_same_stream(old_rng, new_rng)
 
@@ -171,8 +172,8 @@ def test_cli_rows_match_the_loops(seed):
     old = old_teleport(0.6, 0.8j, BellKind.PSI_PLUS, 40, old_rng,
                        derive_correction_table(BellKind.PSI_PLUS))
     results, invariants, *_ = cli._cmd_teleport(args, new_rng)
-    assert [(row["outcome"], row["probability"], row["fidelity"]) for row in results["shots"]] \
-        == [(r.outcome.value, r.probability, r.fidelity_with_input) for r in old]
+    rows = [(row["outcome"], row["probability"], row["fidelity"]) for row in results["shots"]]
+    assert rows == [(r.outcome.value, r.probability, r.fidelity_with_input) for r in old]
     assert results["min_fidelity"] == min([1.0] + [r.fidelity_with_input for r in old])
     assert invariants["mirror"]["residual"] == max([0.0] + [r.shadow_deviation for r in old])
     old = old_swap(40, old_rng, swap_outcome_map())
