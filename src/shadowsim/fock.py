@@ -3,9 +3,12 @@
 States are maps from occupation tuples to complex amplitudes, stored twice:
 a primary register and a mirrored shadow register that every operation
 updates in the same step.  ``DualFockState`` keeps the mirror contract of
-``register.check_dual``, with the amplitudes compared key by key.  Explicit
-matrix representations of the ladder operators back the
-commutator/anticommutator residual checks.
+``register.check_dual``, with the amplitudes compared key by key.
+
+One ladder rule, ``_lower`` and its adjoint ``_raise``, has two walkers:
+``_apply_ladder`` over a state's amplitude map and ``annihilation_matrix``
+over the basis.  The (anti)commutator residuals of those matrices are taken
+on the guarded sector, a boolean mask of the states the cutoff cannot touch.
 """
 
 from __future__ import annotations
@@ -16,9 +19,6 @@ from itertools import product as iter_product
 import numpy as np
 
 from .register import check_dual, mirror_deviation
-
-Occupation = tuple  # tuple of ints, one entry per mode
-
 
 @dataclass(frozen=True)
 class ModeGrid:
@@ -54,7 +54,7 @@ class ModeGrid:
         return self.mode_dim ** self.mode_count
 
     def basis_occupations(self):
-        """All occupation tuples, ordered to match the kron-product matrices."""
+        """All occupation tuples, in the order of vectors and matrices."""
         return list(iter_product(range(self.mode_dim), repeat=self.mode_count))
 
     def index_of(self, occ):
@@ -86,7 +86,6 @@ class DualFockState:
     grid: ModeGrid
     primary: dict
     shadow: dict
-    is_zero: bool = False
 
     def __post_init__(self):
         if set(self.primary) != set(self.shadow):
@@ -97,6 +96,11 @@ class DualFockState:
             if any(n < 0 or n > self.grid.max_occupation for n in occ):
                 raise ValueError(f"occupation tuple {occ} out of range")
         check_dual("fock", *self._aligned(), None)
+
+    @property
+    def is_zero(self):
+        """True for the zero vector, which has no stored amplitudes."""
+        return not self.primary
 
     def _aligned(self):
         """Primary and shadow amplitudes as two lists in one key order."""
@@ -114,7 +118,7 @@ class DualFockState:
 
     def normalized(self):
         n = self.norm()
-        if n == 0.0 or self.is_zero:
+        if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
         prim = {k: v / n for k, v in self.primary.items()}
         return DualFockState(self.grid, prim, dict(prim))
@@ -127,55 +131,56 @@ class DualFockState:
         return vec
 
 
-def _zero_state(grid):
-    return DualFockState(grid, {}, {}, is_zero=True)
-
-
 def vacuum(grid):
     """Dual state with unit amplitude on the all-zeros occupation tuple."""
     occ = (0,) * grid.mode_count
     return DualFockState(grid, {occ: 1 + 0j}, {occ: 1 + 0j})
 
 
-def _fermion_sign(occ, mode):
-    # fixed-ordering Jordan-Wigner string over the modes before `mode`
-    return -1.0 if sum(occ[:mode]) % 2 else 1.0
+# ---------------------------------------------------------------------------
+# the ladder rule, and its two walkers
 
 
-def _apply_ladder(state, mode, raising):
-    if mode < 0 or mode >= state.grid.mode_count:
+def _check_mode(grid, mode):
+    if mode < 0 or mode >= grid.mode_count:
         raise IndexError(f"mode {mode} out of range")
-    if state.is_zero:
-        return state
-    grid = state.grid
+
+
+def _lower(grid, occ, mode):
+    """(occ lowered in `mode`, factor), or None when `mode` is empty.  The factor
+    is sqrt(n), or for fermions the Jordan-Wigner sign of the modes before."""
+    n = occ[mode]
+    if n == 0:
+        return None
+    if grid.statistics == "fermion":
+        factor = -1.0 if sum(occ[:mode]) % 2 else 1.0
+    else:
+        factor = np.sqrt(n)
+    return occ[:mode] + (n - 1,) + occ[mode + 1:], factor
+
+
+def _raise(grid, occ, mode):
+    """Adjoint of `_lower`: None at the cutoff, where over-cutoff terms are
+    dropped (for fermions, Pauli exclusion)."""
+    n = occ[mode]
+    if n == grid.max_occupation:
+        return None
+    new = occ[:mode] + (n + 1,) + occ[mode + 1:]
+    return new, _lower(grid, new, mode)[1]
+
+
+def _apply_ladder(state, mode, step):
+    _check_mode(state.grid, mode)
     out = {}
     for occ, amp in state.primary.items():
-        n = occ[mode]
-        if raising:
-            if grid.statistics == "fermion":
-                if n == 1:
-                    continue  # Pauli exclusion: contribution vanishes
-                factor = _fermion_sign(occ, mode)
-            else:
-                if n + 1 > grid.max_occupation:
-                    continue  # truncation policy: over-cutoff terms dropped
-                factor = np.sqrt(n + 1)
-            new = occ[:mode] + (n + 1,) + occ[mode + 1:]
-        else:
-            if n == 0:
-                continue  # vacuum component annihilates to the zero vector
-            if grid.statistics == "fermion":
-                factor = _fermion_sign(occ, mode)
-            else:
-                factor = np.sqrt(n)
-            new = occ[:mode] + (n - 1,) + occ[mode + 1:]
-        out[new] = out.get(new, 0j) + factor * amp
+        hit = step(state.grid, occ, mode)
+        if hit is not None:
+            new, factor = hit
+            out[new] = out.get(new, 0j) + factor * amp
     out = {k: v for k, v in out.items() if v != 0}
-    if not out:
-        return _zero_state(grid)
     # the single physical amplitude is shared by both registers: every scalar
     # factor is applied once, then the shadow map is mirrored entry-for-entry
-    return DualFockState(grid, out, dict(out))
+    return DualFockState(state.grid, out, dict(out))
 
 
 def apply_b_dagger(state, mode, normalize=False):
@@ -184,7 +189,7 @@ def apply_b_dagger(state, mode, normalize=False):
     Returns the raw (generally unnormalized) state unless `normalize` is set.
     Fermionic creation on an occupied mode yields the zero vector.
     """
-    out = _apply_ladder(state, mode, raising=True)
+    out = _apply_ladder(state, mode, _raise)
     return out.normalized() if normalize and not out.is_zero else out
 
 
@@ -193,38 +198,18 @@ def apply_b(state, mode, normalize=False):
 
     Acting on the bare vacuum yields the zero vector (``is_zero`` set).
     """
-    out = _apply_ladder(state, mode, raising=False)
+    out = _apply_ladder(state, mode, _lower)
     return out.normalized() if normalize and not out.is_zero else out
-
-
-# ---------------------------------------------------------------------------
-# explicit matrix representations
-
-
-def single_mode_lowering(nmax):
-    """(nmax+1)x(nmax+1) matrix with <n-1| a |n> = sqrt(n)."""
-    a = np.zeros((nmax + 1, nmax + 1), dtype=complex)
-    for n in range(1, nmax + 1):
-        a[n - 1, n] = np.sqrt(n)
-    return a
 
 
 def annihilation_matrix(grid, mode):
     """Dense matrix of the combined operator b_mode on the truncated space."""
-    if mode < 0 or mode >= grid.mode_count:
-        raise IndexError(f"mode {mode} out of range")
-    if grid.statistics == "fermion":
-        a = np.array([[0, 1], [0, 0]], dtype=complex)
-        z = np.diag([1.0, -1.0]).astype(complex)
-        eye = np.eye(2, dtype=complex)
-        factors = [z] * mode + [a] + [eye] * (grid.mode_count - mode - 1)
-    else:
-        a = single_mode_lowering(grid.max_occupation)
-        eye = np.eye(grid.mode_dim, dtype=complex)
-        factors = [eye] * mode + [a] + [eye] * (grid.mode_count - mode - 1)
-    mat = factors[0]
-    for f in factors[1:]:
-        mat = np.kron(mat, f)
+    _check_mode(grid, mode)
+    mat = np.zeros((grid.dim, grid.dim), dtype=complex)
+    for col, occ in enumerate(grid.basis_occupations()):
+        hit = _lower(grid, occ, mode)
+        if hit is not None:
+            mat[grid.index_of(hit[0]), col] = hit[1]
     return mat
 
 
@@ -232,55 +217,51 @@ def creation_matrix(grid, mode):
     return annihilation_matrix(grid, mode).conj().T
 
 
-def guarded_sector_projector(grid):
-    """Diagonal projector onto occupations <= max_occupation - 1 in every mode.
+def single_mode_lowering(nmax):
+    """(nmax+1)x(nmax+1) matrix with <n-1| a |n> = sqrt(n)."""
+    return annihilation_matrix(ModeGrid((0.0,), nmax), 0)
 
-    Truncation artifacts of the cutoff cannot appear inside this sector.
-    """
-    diag = np.array(
-        [
-            1.0 if all(n <= grid.max_occupation - 1 for n in occ) else 0.0
-            for occ in grid.basis_occupations()
-        ]
-    )
-    return np.diag(diag).astype(complex)
+
+# ---------------------------------------------------------------------------
+# commutation relations
+
+
+def guarded_sector_projector(grid):
+    """Mask of the basis states free of cutoff artifacts: occupations
+    <= max_occupation - 1 in every mode for bosons, every state for fermions."""
+    return np.array([grid.statistics == "fermion" or max(occ) < grid.max_occupation
+                     for occ in grid.basis_occupations()])
+
+
+_BRACKETS = {"boson": "commutator", "fermion": "anticommutator"}
+
+
+def _bracket_residual(grid, i, j, annihilation_pair, statistics, sign):
+    """Operator norm of b_i X + sign X b_i - delta_ij I on the guarded sector,
+    with X = b_j^dag, or X = b_j (and no delta term) with `annihilation_pair`.
+    The continuum delta is realized as a Kronecker delta with unit mode volume."""
+    if grid.statistics != statistics:
+        raise ValueError(f"{_BRACKETS[statistics]} check requires {statistics}s; "
+                         f"use {_BRACKETS[grid.statistics]}_residual")
+    bi = annihilation_matrix(grid, i)
+    bj = annihilation_matrix(grid, j) if annihilation_pair else creation_matrix(grid, j)
+    res = bi @ bj + sign * (bj @ bi)
+    if i == j and not annihilation_pair:
+        res = res - np.eye(grid.dim)
+    keep = guarded_sector_projector(grid)
+    return float(np.linalg.norm(res[np.ix_(keep, keep)], 2))
 
 
 def commutator_residual(grid, i, j, annihilation_pair=False):
-    """Operator norm of [b_i, b_j^dag] - delta_ij I on the guarded sector.
-
-    With `annihilation_pair` the residual of [b_i, b_j] is returned instead.
-    The continuum delta is realized as a Kronecker delta with unit mode volume.
-    """
-    if grid.statistics != "boson":
-        raise ValueError("commutator check requires bosons; use anticommutator_residual")
-    bi = annihilation_matrix(grid, i)
-    if annihilation_pair:
-        bj = annihilation_matrix(grid, j)
-        comm = bi @ bj - bj @ bi
-    else:
-        bjd = creation_matrix(grid, j)
-        comm = bi @ bjd - bjd @ bi
-        if i == j:
-            comm = comm - np.eye(grid.dim)
-    p = guarded_sector_projector(grid)
-    return float(np.linalg.norm(p @ comm @ p, 2))
+    """Operator norm of [b_i, b_j^dag] - delta_ij I, or of [b_i, b_j] with
+    `annihilation_pair`, on the guarded sector of a boson grid."""
+    return _bracket_residual(grid, i, j, annihilation_pair, "boson", -1)
 
 
 def anticommutator_residual(grid, i, j, annihilation_pair=False):
-    """Operator norm of {b_i, b_j^dag} - delta_ij I on the full fermionic space."""
-    if grid.statistics != "fermion":
-        raise ValueError("anticommutator check requires fermions; use commutator_residual")
-    bi = annihilation_matrix(grid, i)
-    if annihilation_pair:
-        bj = annihilation_matrix(grid, j)
-        anti = bi @ bj + bj @ bi
-    else:
-        bjd = creation_matrix(grid, j)
-        anti = bi @ bjd + bjd @ bi
-        if i == j:
-            anti = anti - np.eye(grid.dim)
-    return float(np.linalg.norm(anti, 2))
+    """Operator norm of {b_i, b_j^dag} - delta_ij I, or of {b_i, b_j} with
+    `annihilation_pair`, on the full space of a fermion grid."""
+    return _bracket_residual(grid, i, j, annihilation_pair, "fermion", 1)
 
 
 # ---------------------------------------------------------------------------

@@ -240,8 +240,7 @@ def _per_shot(state, pair, shots, rng, result):
 def teleportation_shots(alpha, beta, resource, shots, rng, table):
     """One teleportation round per shot: prepare, Bell-measure (0,1), correct
     qubit 2."""
-    norm = np.linalg.norm([alpha, beta])
-    target = from_amplitudes([alpha / norm, beta / norm], 1)
+    target = from_amplitudes([alpha, beta], 1)
 
     def result(record):
         remote = record.remote_state_via_shadow

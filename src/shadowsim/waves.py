@@ -132,6 +132,8 @@ def evolve(grid, v, dt, steps, boundary="periodic"):
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if not np.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
     if v.values.shape != (grid.points,):
         raise ValueError("potential length must match the grid")
     if steps == 0 or dt == 0.0:
@@ -317,6 +319,8 @@ def double_slit_accumulate(geometry, shots, bins, rng=None, wavelength=0.05,
         raise ValueError("shots must be >= 1")
     if bins < 2:
         raise ValueError("bins must be >= 2")
+    if not 0.0 < wavelength < np.inf:
+        raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
     k0 = 2.0 * np.pi / wavelength
     duration = geometry.distance / k0  # mass-normalized flight time, m = 1
     spacing = wavelength * geometry.distance / geometry.separation

@@ -41,6 +41,7 @@ from shadowsim import (
     projective_measure,
     run_entanglement_swap,
     swap_decomposition,
+    swap_outcome_map,
     teleport_decomposition,
     teleport_input_state,
     tensor,
@@ -205,8 +206,9 @@ def test_criterion_06_entanglement_swap():
     counts = {kind: 0 for kind in BellKind}
     worst = 1.0
     seen = set()
+    mapping = swap_outcome_map()
     for _ in range(shots):
-        res = run_entanglement_swap(rng)
+        res = run_entanglement_swap(rng, outcome_map=mapping)
         counts[res.outcome] += 1
         seen.add(res.outcome)
         worst = min(worst, res.fidelity_with_prediction)

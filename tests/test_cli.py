@@ -150,6 +150,23 @@ def test_non_finite_alpha_exits_2_with_one_line(alpha, capsys):
     assert err.startswith("shadowsim teleport: error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["teleport", "--alpha", "0", "--beta", "0"],
+    ["doubleslit", "--wavelength", "0"],
+    ["doubleslit", "--wavelength", "-0.05"],
+    ["doubleslit", "--wavelength", "inf"],
+    ["evolve", "--dt", "nan"],
+    ["evolve", "--dt", "inf"],
+])
+def test_degenerate_inputs_exit_2_with_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--shots", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"shadowsim {argv[0]}: error:")
+
+
 def test_non_finite_alpha_exits_2_from_the_shell():
     proc = subprocess.run(
         [sys.executable, "-m", "shadowsim.cli", "teleport", "--alpha=nan"],

@@ -160,6 +160,7 @@ def test_ladder_ops_match_matrix_oracle(statistics):
     grid = boson_grid(2, 3) if statistics == "boson" else fermion_grid(3)
     for mode in range(grid.mode_count):
         a = oracle_mode_matrix(grid, mode)
+        assert np.array_equal(fock.annihilation_matrix(grid, mode), a)
         for _ in range(20):
             state = random_dual_state(grid, rng)
             vec = state.to_vector()

@@ -34,6 +34,8 @@ CASES = {
     "product-default": ["product"],
     "algebra": ["algebra", "--modes", "2", "--nmax", "3"],
     "algebra-fermion": ["algebra", "--modes", "3", "--statistics", "fermion"],
+    "algebra-3x4": ["algebra", "--modes", "3", "--nmax", "4"],
+    "algebra-fermion-5": ["algebra", "--modes", "5", "--statistics", "fermion"],
     "evolve": ["evolve", "--points", "256", "--steps", "50"],
     "evolve-harmonic": ["evolve", "--points", "256", "--steps", "50",
                         "--potential", "harmonic", "--k0", "1"],
@@ -50,6 +52,10 @@ DIGESTS = {
     "algebra/2": "24ecc88ba69c9476cff88d3130cb1eb3422dae8d7fc7b457d30a2038cb06a22d",
     "algebra-fermion/1": "9af11c0f0cfa2ed674cbed83ccd3a5676f08b7a11b32484e6039ae94f5080616",
     "algebra-fermion/2": "4b58b59c8a1ba610b271b79a331372a26d7a743bbd9ce61ddf3506f99d94631f",
+    "algebra-3x4/1": "ae0f94acccb2618e33a206d7ba5b458e5f1c1fdf564c99ca2ca911c41f68baa5",
+    "algebra-3x4/2": "bb0b2db845cb97ebf96ec4bb33ac6e2d750e878c084cb5711022417f01adb038",
+    "algebra-fermion-5/1": "2af3f9fd59b49c81c85057807fcb000491b3b5b101978cc0b6053fc24bd3f6fc",
+    "algebra-fermion-5/2": "b13bf3fe27f62b600a545b50447e996c64640131fdebbbeceedc1f1dcbe50ac4",
     "bell/1": "3be80321a1dc2362b0ae86908c5be07faeb60de40dd3bdcf0f466e149976b0ae",
     "bell/2": "da5077cfdca125a2b4b41258ff493da98c84feadd2c7ae1905f8826411753e87",
     "collapse/1": "d5b10f901a4204f353e4891577f375b70d4bffb86ab184ead887167625507bb5",

@@ -8,6 +8,7 @@ from shadowsim.measurement import (
     bell_measure,
     bell_outcome_probabilities,
     born_probabilities,
+    measure_shots,
     projective_measure,
 )
 from shadowsim.register import BellKind, bell_pair, fidelity, from_amplitudes, tensor
@@ -177,17 +178,20 @@ def test_bell_measure_validation():
 
 
 def test_no_signalling_marginals():
-    # remote z-marginal of a product state, with vs without measuring qubit 0
+    # remote z-marginal of a product state, with vs without measuring qubit 0;
+    # each shot draws its three uniforms in the order a per-shot loop would
     rng = np.random.default_rng(77)
     plus = from_amplitudes([1, 1], 1)
+    state = tensor(plus, plus)
     shots = 10000
-    with_meas = without = 0
-    for _ in range(shots):
-        state = tensor(plus, plus)
-        rec = projective_measure(state, 0, Z_BASIS, rng)
-        if projective_measure(rec.post_state, 1, Z_BASIS, rng).outcome == 0:
-            with_meas += 1
-        if projective_measure(tensor(plus, plus), 1, Z_BASIS, rng).outcome == 0:
-            without += 1
+    u = rng.random((shots, 3))
+    q0, q1 = ([0], Z_BASIS, (0, 1)), ([1], Z_BASIS, (0, 1))
+
+    def remote_up(steps, u):
+        paths, index = measure_shots(state, steps, u)
+        return sum(n for path, n in zip(paths, np.bincount(index)) if path[-1].outcome == 0)
+
+    with_meas = remote_up([q0, q1], u[:, :2])
+    without = remote_up([q1], u[:, 2:])
     tvd = abs(with_meas - without) / shots
     assert tvd < 4.0 / np.sqrt(shots)

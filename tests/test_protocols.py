@@ -167,6 +167,15 @@ def test_swap_remote_fidelity():
     assert seen == set(BellKind)
 
 
+def test_swap_without_map_derives_the_same_map():
+    default = run_entanglement_swap(np.random.default_rng(8))
+    given = run_entanglement_swap(np.random.default_rng(8), swap_outcome_map())
+    assert default.outcome == given.outcome
+    assert default.predicted_remote_kind == given.predicted_remote_kind
+    assert default.fidelity_with_prediction == given.fidelity_with_prediction
+    np.testing.assert_array_equal(default.remote_pair.primary, given.remote_pair.primary)
+
+
 def test_swap_psi_plus_pairing():
     # the printed claim: the middle pair lands in psi-plus exactly when the
     # outer pair does
