@@ -131,6 +131,10 @@ def from_amplitudes(coeffs, qubit_count):
             f"expected {2 ** qubit_count} coefficients for {qubit_count} qubits, "
             f"got {vec.shape}"
         )
+    # an exact power-of-two scale keeps tiny and huge coefficients off the
+    # underflow and overflow of the squared norm
+    exponent = np.frexp(np.max(np.abs(vec)))[1]
+    vec = np.ldexp(np.ascontiguousarray(vec).view(float), -exponent).view(complex)
     n = np.linalg.norm(vec)
     if not 0.0 < n < np.inf:
         raise ValueError(f"cannot normalize coefficients of norm {n}: zero or non-finite")

@@ -139,9 +139,13 @@ def evolve(grid, v, dt, steps, boundary="periodic"):
     if steps == 0 or dt == 0.0:
         return grid
     h = _hamiltonian(grid, v, boundary)
+    with np.errstate(over="ignore", invalid="ignore"):
+        half_step = 0.5j * dt * h
+    if not np.all(np.isfinite(half_step.data)):
+        raise ValueError(f"step matrix i dt H / 2 is not finite for dt={dt}")
     eye = sp.identity(grid.points, format="csc")
-    forward = spla.splu((eye + 0.5j * dt * h).tocsc())
-    back = (eye - 0.5j * dt * h).tocsc()
+    forward = spla.splu((eye + half_step).tocsc())
+    back = (eye - half_step).tocsc()
     # columns: primary and shadow, advanced by one solve per step
     psi = np.stack((grid.psi_primary, grid.psi_shadow), axis=1)
     for _ in range(steps):

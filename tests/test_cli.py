@@ -157,6 +157,7 @@ def test_non_finite_alpha_exits_2_with_one_line(alpha, capsys):
     ["doubleslit", "--wavelength", "inf"],
     ["evolve", "--dt", "nan"],
     ["evolve", "--dt", "inf"],
+    ["evolve", "--dt", "1e308"],
 ])
 def test_degenerate_inputs_exit_2_with_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exc:

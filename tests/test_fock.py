@@ -263,6 +263,37 @@ def test_anticommutator_rejects_bosons():
         anticommutator_residual(boson_grid(), 0, 0)
 
 
+def oracle_residual(grid, i, j, annihilation_pair, sign):
+    """Spectral norm of the guarded block of b_i X + sign X b_i - delta_ij I,
+    from kron matrices, dense products and an SVD."""
+    bi = oracle_mode_matrix(grid, i)
+    bj = oracle_mode_matrix(grid, j)
+    x = bj if annihilation_pair else bj.conj().T
+    res = bi @ x + sign * (x @ bi)
+    if i == j and not annihilation_pair:
+        res = res - np.eye(grid.dim)
+    digits = np.indices((grid.mode_dim,) * grid.mode_count).reshape(grid.mode_count, -1)
+    keep = (grid.statistics == "fermion") | (digits.max(axis=0) < grid.max_occupation)
+    return np.linalg.norm(res[np.ix_(keep, keep)], 2)
+
+
+@pytest.mark.parametrize("grid", [boson_grid(2, 3), boson_grid(3, 2), boson_grid(2, 6),
+                                  fermion_grid(3), fermion_grid(5)],
+                         ids=lambda g: f"{g.statistics}-{g.mode_count}x{g.max_occupation}")
+@pytest.mark.parametrize("annihilation_pair", [False, True])
+def test_residuals_equal_dense_oracle_spectral_norm(grid, annihilation_pair):
+    if grid.statistics == "boson":
+        residual_fn, sign = commutator_residual, -1
+    else:
+        residual_fn, sign = anticommutator_residual, 1
+    for i in range(grid.mode_count):
+        for j in range(grid.mode_count):
+            expected = oracle_residual(grid, i, j, annihilation_pair, sign)
+            got = residual_fn(grid, i, j, annihilation_pair=annihilation_pair)
+            assert got >= expected
+            assert got == expected, (i, j)
+
+
 # --- position-state creation --------------------------------------------------
 
 def test_position_create_uniform_at_origin():

@@ -3,7 +3,7 @@
 Each case runs ``shadowsim.cli.run`` in process, for two seeds, and
 compares the sha256 of the written document with a pinned digest. The cases
 are small, except readout, product and collapse, which also run at their
-default 10 000 shots. A change that keeps every document byte-identical
+default 10 000 shots, and the two largest algebra grids (dim 625 and 256). A change that keeps every document byte-identical
 keeps these green; a change that alters output bytes on purpose must update
 the entries it alters and say so in CHANGES.md.
 
@@ -36,6 +36,8 @@ CASES = {
     "algebra-fermion": ["algebra", "--modes", "3", "--statistics", "fermion"],
     "algebra-3x4": ["algebra", "--modes", "3", "--nmax", "4"],
     "algebra-fermion-5": ["algebra", "--modes", "5", "--statistics", "fermion"],
+    "algebra-4x4": ["algebra", "--modes", "4", "--nmax", "4"],
+    "algebra-fermion-8": ["algebra", "--modes", "8", "--statistics", "fermion"],
     "evolve": ["evolve", "--points", "256", "--steps", "50"],
     "evolve-harmonic": ["evolve", "--points", "256", "--steps", "50",
                         "--potential", "harmonic", "--k0", "1"],
@@ -56,6 +58,10 @@ DIGESTS = {
     "algebra-3x4/2": "bb0b2db845cb97ebf96ec4bb33ac6e2d750e878c084cb5711022417f01adb038",
     "algebra-fermion-5/1": "2af3f9fd59b49c81c85057807fcb000491b3b5b101978cc0b6053fc24bd3f6fc",
     "algebra-fermion-5/2": "b13bf3fe27f62b600a545b50447e996c64640131fdebbbeceedc1f1dcbe50ac4",
+    "algebra-4x4/1": "eb991aaa0005d330ce2f8b2133f7ce1669a6ea41188ef458ea5484230e3d1464",
+    "algebra-4x4/2": "46a56b053da161301a230c4a2ec3f1a5ed0a4635d2698f7fa4648d94c98e1b3c",
+    "algebra-fermion-8/1": "e5cd77a61db177facfd7333efd173e12dd7333697e92e67efe58ff3e855ae627",
+    "algebra-fermion-8/2": "0471ad71d195d5c371ad7b87430db0f947a8b007ede80093fbbefbef884a6768",
     "bell/1": "3be80321a1dc2362b0ae86908c5be07faeb60de40dd3bdcf0f466e149976b0ae",
     "bell/2": "da5077cfdca125a2b4b41258ff493da98c84feadd2c7ae1905f8826411753e87",
     "collapse/1": "d5b10f901a4204f353e4891577f375b70d4bffb86ab184ead887167625507bb5",

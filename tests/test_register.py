@@ -45,6 +45,21 @@ def test_three_four_normalization():
     np.testing.assert_allclose(state.primary, [0.6, 0.8j], atol=1e-15)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_tiny_and_huge_amplitudes_normalize_exactly(scale):
+    plus = from_amplitudes([1, 1], 1)
+    state = from_amplitudes([scale, scale], 1)
+    assert np.array_equal(state.primary, plus.primary)
+    assert np.array_equal(state.shadow, plus.shadow)
+
+
+def test_power_of_two_scaling_keeps_plain_normalization_bits():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        vec = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+        assert np.array_equal(from_amplitudes(vec, n).primary, vec / np.linalg.norm(vec))
+
+
 def test_zero_vector_rejected():
     with pytest.raises(ValueError):
         from_amplitudes([0, 0], 1)
