@@ -28,7 +28,7 @@ from .protocols import (
 )
 # not called here since the walker replaced them; bench/tracing.py wraps them
 from .protocols import run_entanglement_swap, run_teleportation  # noqa: F401
-from .register import BellKind
+from .register import BellKind, InvariantViolation
 
 RESOURCE_NAMES = {k.value: k for k in BellKind}
 
@@ -473,6 +473,8 @@ def run(argv=None):
         results, invariants, errata, fieldnames, rows = _DISPATCH[args.subcommand](
             args, rng
         )
+    except InvariantViolation as exc:
+        parser.exit(1, f"{parser.prog} {args.subcommand}: invariant violation: {exc}\n")
     except (ValueError, IndexError) as exc:
         parser.exit(2, f"{parser.prog} {args.subcommand}: error: {exc}\n")
     doc = {

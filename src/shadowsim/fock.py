@@ -5,21 +5,20 @@ a primary register and a mirrored shadow register that every operation
 updates in the same step.  ``DualFockState`` keeps the mirror contract of
 ``register.check_dual``, with the amplitudes compared key by key.
 
-One ladder rule, ``_lower`` and its adjoint ``_raise``, has two walkers:
-``_apply_ladder`` over a state's amplitude map and ``_ladder_map`` over the
-basis.  The rule sends each basis state to at most one, so ``_ladder_map``
-returns a column map: column ``c`` goes to row ``rows[c]`` (-1 for none) with
-factor ``factors[c]``.  ``annihilation_matrix`` scatters it into a dense
-matrix; the (anti)commutator residuals compose maps by index gathers, keep
-the guarded sector (a boolean mask of the states the cutoff cannot touch)
-and report sqrt(||A||_1 ||A||_inf), which is the spectral norm of these
-residual blocks (one entry per row and column at most) and bounds it always.
+One ladder rule, ``_ladder``, acts on rows of an integer occupation array:
+``_apply_ladder`` runs it on a state's keys, and ``_ladder_map`` on the basis
+digits (``_digits``), giving a column map: column ``c`` goes to row
+``rows[c]`` (-1 for none) with factor ``factors[c]``.  ``annihilation_matrix``
+scatters it into a dense matrix; the (anti)commutator residuals compose maps
+by index gathers, merge each column's at most three candidates on equal rows,
+keep the guarded sector (a boolean mask of the states the cutoff cannot
+touch) and report sqrt(||A||_1 ||A||_inf), which is the spectral norm of
+these residual blocks (one entry per row and column at most) and bounds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -60,7 +59,7 @@ class ModeGrid:
 
     def basis_occupations(self):
         """All occupation tuples, in the order of vectors and matrices."""
-        return list(iter_product(range(self.mode_dim), repeat=self.mode_count))
+        return [tuple(occ) for occ in _digits(self).tolist()]
 
     def index_of(self, occ):
         idx = 0
@@ -146,46 +145,38 @@ def vacuum(grid):
 # the ladder rule, and its two walkers
 
 
-def _check_mode(grid, mode):
+def _digits(grid):
+    """Occupations of every basis state: row c is column c's tuple."""
+    place = grid.mode_dim ** np.arange(grid.mode_count - 1, -1, -1)
+    return (np.arange(grid.dim)[:, None] // place) % grid.mode_dim
+
+
+def _ladder(grid, occ, mode, delta):
+    """Lowering (delta -1) or raising (delta +1) of `mode` on rows of occupations:
+    which rows stay within [0, max_occupation] (for fermions, Pauli exclusion),
+    and each row's factor, sqrt(max(n, n + delta)) or for fermions the
+    Jordan-Wigner sign of the modes before `mode`."""
     if mode < 0 or mode >= grid.mode_count:
         raise IndexError(f"mode {mode} out of range")
-
-
-def _lower(grid, occ, mode):
-    """(occ lowered in `mode`, factor), or None when `mode` is empty.  The factor
-    is sqrt(n), or for fermions the Jordan-Wigner sign of the modes before."""
-    n = occ[mode]
-    if n == 0:
-        return None
+    n = occ[:, mode]
+    hit = (n + delta >= 0) & (n + delta <= grid.max_occupation)
     if grid.statistics == "fermion":
-        factor = -1.0 if sum(occ[:mode]) % 2 else 1.0
-    else:
-        factor = np.sqrt(n)
-    return occ[:mode] + (n - 1,) + occ[mode + 1:], factor
+        return hit, 1.0 - 2.0 * (occ[:, :mode].sum(axis=1) % 2)
+    return hit, np.sqrt(np.maximum(n, n + delta))
 
 
-def _raise(grid, occ, mode):
-    """Adjoint of `_lower`: None at the cutoff, where over-cutoff terms are
-    dropped (for fermions, Pauli exclusion)."""
-    n = occ[mode]
-    if n == grid.max_occupation:
-        return None
-    new = occ[:mode] + (n + 1,) + occ[mode + 1:]
-    return new, _lower(grid, new, mode)[1]
-
-
-def _apply_ladder(state, mode, step):
-    _check_mode(state.grid, mode)
-    out = {}
-    for occ, amp in state.primary.items():
-        hit = step(state.grid, occ, mode)
-        if hit is not None:
-            new, factor = hit
-            out[new] = out.get(new, 0j) + factor * amp
-    out = {k: v for k, v in out.items() if v != 0}
+def _apply_ladder(state, mode, delta, normalize):
+    grid = state.grid
+    occ = np.array(list(state.primary), dtype=int).reshape(-1, grid.mode_count)
+    hit, factor = _ladder(grid, occ, mode, delta)
+    occ[:, mode] += delta
+    amps = factor * np.array(list(state.primary.values()), dtype=complex)
+    out = {tuple(o): a for o, a, h in zip(occ.tolist(), amps.tolist(), hit.tolist())
+           if h and a != 0}
     # the single physical amplitude is shared by both registers: every scalar
     # factor is applied once, then the shadow map is mirrored entry-for-entry
-    return DualFockState(state.grid, out, dict(out))
+    out = DualFockState(grid, out, dict(out))
+    return out.normalized() if normalize and not out.is_zero else out
 
 
 def apply_b_dagger(state, mode, normalize=False):
@@ -194,8 +185,7 @@ def apply_b_dagger(state, mode, normalize=False):
     Returns the raw (generally unnormalized) state unless `normalize` is set.
     Fermionic creation on an occupied mode yields the zero vector.
     """
-    out = _apply_ladder(state, mode, _raise)
-    return out.normalized() if normalize and not out.is_zero else out
+    return _apply_ladder(state, mode, 1, normalize)
 
 
 def apply_b(state, mode, normalize=False):
@@ -203,27 +193,20 @@ def apply_b(state, mode, normalize=False):
 
     Acting on the bare vacuum yields the zero vector (``is_zero`` set).
     """
-    out = _apply_ladder(state, mode, _lower)
-    return out.normalized() if normalize and not out.is_zero else out
+    return _apply_ladder(state, mode, -1, normalize)
 
 
-def _ladder_map(grid, mode, step):
-    """Column map (rows, factors) of the ladder operator `step` on `mode`:
+def _ladder_map(grid, mode, delta):
+    """Column map (rows, factors) of the ladder operator `delta` on `mode`:
     basis column c goes to row rows[c], or nowhere when rows[c] is -1."""
-    _check_mode(grid, mode)
-    rows = np.full(grid.dim, -1)
-    factors = np.zeros(grid.dim)
-    for col, occ in enumerate(grid.basis_occupations()):
-        hit = step(grid, occ, mode)
-        if hit is not None:
-            rows[col] = grid.index_of(hit[0])
-            factors[col] = hit[1]
-    return rows, factors
+    hit, factor = _ladder(grid, _digits(grid), mode, delta)
+    rows = np.arange(grid.dim) + delta * grid.mode_dim ** (grid.mode_count - 1 - mode)
+    return np.where(hit, rows, -1), np.where(hit, factor, 0.0)
 
 
 def annihilation_matrix(grid, mode):
     """Dense matrix of the combined operator b_mode on the truncated space."""
-    rows, factors = _ladder_map(grid, mode, _lower)
+    rows, factors = _ladder_map(grid, mode, -1)
     cols = np.flatnonzero(rows >= 0)
     mat = np.zeros((grid.dim, grid.dim), dtype=complex)
     mat[rows[cols], cols] = factors[cols]
@@ -246,8 +229,7 @@ def single_mode_lowering(nmax):
 def guarded_sector_projector(grid):
     """Mask of the basis states free of cutoff artifacts: occupations
     <= max_occupation - 1 in every mode for bosons, every state for fermions."""
-    return np.array([grid.statistics == "fermion" or max(occ) < grid.max_occupation
-                     for occ in grid.basis_occupations()])
+    return (grid.statistics == "fermion") | (_digits(grid).max(axis=1) < grid.max_occupation)
 
 
 _BRACKETS = {"boson": "commutator", "fermion": "anticommutator"}
@@ -270,23 +252,25 @@ def _bracket_residual(grid, i, j, annihilation_pair, statistics, sign):
     if grid.statistics != statistics:
         raise ValueError(f"{_BRACKETS[statistics]} check requires {statistics}s; "
                          f"use {_BRACKETS[grid.statistics]}_residual")
-    bi = _ladder_map(grid, i, _lower)
-    x = _ladder_map(grid, j, _lower if annihilation_pair else _raise)
+    bi = _ladder_map(grid, i, -1)
+    x = _ladder_map(grid, j, -1 if annihilation_pair else 1)
     (r1, t1), (r2, t2) = _compose(bi, x), _compose(x, bi)
-    diag = int(i == j and not annihilation_pair)
     cols = np.arange(grid.dim)
-    rows = np.concatenate([r1, r2] + [cols] * diag)
-    vals = np.concatenate([t1, sign * t2] + [np.full(grid.dim, -1.0)] * diag)
-    cols = np.tile(cols, 2 + diag)
+    r3 = cols if i == j and not annihilation_pair else np.full(grid.dim, -1)
+    # each map holds one entry per column, so a column's candidates sit on rows
+    # r1, r2 and r3; equal rows merge into the first, summed in the order of
+    # the dense sum (t1 + sign t2) - I
+    v1 = t1 + np.where(r2 == r1, sign * t2, 0.0) - (r3 == r1)
+    v2 = sign * t2 - (r3 == r2)
+    rows = np.concatenate([r1, np.where(r2 == r1, -1, r2),
+                           np.where((r3 == r1) | (r3 == r2), -1, r3)])
+    vals = np.concatenate([v1, v2, np.full(grid.dim, -1.0)])
+    cols = np.tile(cols, 3)
     keep = guarded_sector_projector(grid)
     inside = (rows >= 0) & keep[rows] & keep[cols]
-    keys, slot = np.unique(rows[inside] * grid.dim + cols[inside], return_inverse=True)
-    # duplicate entries summed in the order of the dense sum (t1 + sign t2) - I
-    block = np.zeros(keys.size)
-    np.add.at(block, slot, vals[inside])
-    mags = np.abs(block)
-    col_sum = np.bincount(keys % grid.dim, mags, minlength=1).max()
-    row_sum = np.bincount(keys // grid.dim, mags, minlength=1).max()
+    mags = np.abs(vals[inside])
+    col_sum = np.bincount(cols[inside], mags, minlength=1).max()
+    row_sum = np.bincount(rows[inside], mags, minlength=1).max()
     return float(np.sqrt(col_sum * row_sum))
 
 

@@ -7,7 +7,8 @@ Basis convention: qubit 0 is the leftmost ket slot, so basis index
 equals the primary entry-wise within the mirror tolerance, and the primary
 has unit norm where the kind requires it. ``DualRegister``,
 ``fock.DualFockState`` and ``waves.WaveGrid`` call it from ``__post_init__``.
-Its comparisons fail closed, so NaN or inf in either record is rejected.
+Its comparisons fail closed, so NaN or inf in either record is rejected; it
+raises ``InvariantViolation`` naming the invariant, residual and tolerance.
 Operations act on the stacked pair ``np.stack((primary, shadow))`` in one
 call, so both records change in the same step.
 """
@@ -29,6 +30,10 @@ TOLERANCES = {
 UNITARY_TOL = 1e-10
 
 
+class InvariantViolation(ValueError):
+    """A dual object broke its mirror or norm contract."""
+
+
 def mirror_deviation(primary, shadow):
     """Largest entry-wise |primary - shadow|; NaN or inf if either is non-finite."""
     diff = np.abs(np.asarray(primary) - np.asarray(shadow))
@@ -44,13 +49,14 @@ def check_dual(kind, primary, shadow, norm):
     shad = np.array(shadow, dtype=complex)
     if shad.shape != prim.shape:
         raise ValueError(f"{kind}: shadow has shape {shad.shape}, primary {prim.shape}")
-    dev = mirror_deviation(prim, shad)
-    if not dev <= tol["mirror"]:
-        # dev is finite exactly when every entry of both records is
-        raise ValueError(f"{kind}: shadow diverged from primary by {dev:.3g}"
-                         if np.isfinite(dev) else f"{kind}: non-finite amplitudes")
-    if norm is not None and not abs(norm(prim) - 1.0) <= tol["norm"]:
-        raise ValueError(f"{kind}: primary is not normalized")
+    # the mirror residual is finite exactly when every entry of both records is
+    residuals = {"mirror": mirror_deviation(prim, shad)}
+    if norm is not None:
+        residuals["norm"] = abs(norm(prim) - 1.0)
+    for name, residual in residuals.items():
+        if not residual <= tol[name]:
+            raise InvariantViolation(f"{kind}: {name} residual {residual:.3g} > "
+                                     f"tolerance {tol[name]:g}")
     prim.setflags(write=False)
     shad.setflags(write=False)
     return prim, shad
@@ -123,6 +129,19 @@ class DualRegister:
                 for i in range(2 ** self.qubit_count)]
 
 
+def normalized(values, norm, what):
+    """`values` as a complex array divided by `norm` of it.  An exact power-of-two
+    scale comes first, so the norms of tiny or huge values neither underflow
+    nor overflow."""
+    vec = np.asarray(values, dtype=complex)
+    exponent = np.frexp(np.max(np.abs(vec)))[1]
+    vec = np.ldexp(np.ascontiguousarray(vec).view(float), -exponent).view(complex)
+    n = norm(vec)
+    if not 0.0 < n < np.inf:
+        raise ValueError(f"cannot normalize {what} of norm {n}: zero or non-finite")
+    return vec / n
+
+
 def from_amplitudes(coeffs, qubit_count):
     """Build a dual register from raw coefficients, normalizing the vector."""
     vec = np.asarray(coeffs, dtype=complex)
@@ -131,14 +150,7 @@ def from_amplitudes(coeffs, qubit_count):
             f"expected {2 ** qubit_count} coefficients for {qubit_count} qubits, "
             f"got {vec.shape}"
         )
-    # an exact power-of-two scale keeps tiny and huge coefficients off the
-    # underflow and overflow of the squared norm
-    exponent = np.frexp(np.max(np.abs(vec)))[1]
-    vec = np.ldexp(np.ascontiguousarray(vec).view(float), -exponent).view(complex)
-    n = np.linalg.norm(vec)
-    if not 0.0 < n < np.inf:
-        raise ValueError(f"cannot normalize coefficients of norm {n}: zero or non-finite")
-    vec = vec / n
+    vec = normalized(vec, np.linalg.norm, "coefficients")
     return DualRegister(qubit_count, vec, vec.copy())
 
 

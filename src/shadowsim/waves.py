@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .measurement import sample_outcome
-from .register import check_dual, mirror_deviation
+from .register import check_dual, mirror_deviation, normalized
 
 
 @dataclass(frozen=True)
@@ -72,19 +72,20 @@ class WaveGrid:
 
 def gaussian_packet(x_min, x_max, points, x0=0.0, sigma=1.0, k0=0.0, mass=1.0, t=0.0):
     """Normalized Gaussian wave packet with central momentum k0, mirrored."""
+    # products, not float **, which raises OverflowError instead of giving inf
+    if not (sigma > 0 and 0.0 < 4.0 * sigma * sigma < np.inf):
+        raise ValueError(f"sigma must be positive with 4 sigma^2 finite and > 0: {sigma}")
     x = x_min + (x_max - x_min) / points * (np.arange(points) + 0.5)
-    psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma ** 2) + 1j * k0 * x)
+    with np.errstate(over="ignore"):  # exp(-inf) is the exact zero tail
+        psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma ** 2) + 1j * k0 * x)
     return from_samples(x_min, x_max, psi, mass=mass, t=t)
 
 
 def from_samples(x_min, x_max, values, mass=1.0, t=0.0):
     """Wave grid from raw complex samples, normalized and mirrored."""
-    psi = np.asarray(values, dtype=complex)
-    dx = (x_max - x_min) / psi.size
-    n = np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
-    if not 0.0 < n < np.inf:
-        raise ValueError(f"cannot normalize a wave function of norm {n}: zero or non-finite")
-    psi = psi / n
+    dx = (x_max - x_min) / np.size(values)
+    psi = normalized(values, lambda p: np.sqrt(np.sum(np.abs(p) ** 2) * dx),
+                     "a wave function")
     return WaveGrid(x_min, x_max, psi, psi.copy(), t=t, mass=mass)
 
 

@@ -158,6 +158,11 @@ def test_non_finite_alpha_exits_2_with_one_line(alpha, capsys):
     ["evolve", "--dt", "nan"],
     ["evolve", "--dt", "inf"],
     ["evolve", "--dt", "1e308"],
+    ["evolve", "--sigma", "-1"],
+    ["evolve", "--sigma", "0"],
+    ["evolve", "--sigma", "nan"],
+    ["evolve", "--sigma", "inf"],
+    ["evolve", "--sigma", "1e300"],
 ])
 def test_degenerate_inputs_exit_2_with_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -166,6 +171,19 @@ def test_degenerate_inputs_exit_2_with_one_line(argv, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith(f"shadowsim {argv[0]}: error:")
+
+
+@pytest.mark.parametrize("dt", ["1e12", "1e300"])
+def test_broken_invariant_exits_1_with_one_line(dt, capsys):
+    # the solve at a huge but finite step drifts off unit norm: the program
+    # built a state that breaks its contract, which is not a usage error
+    with pytest.raises(SystemExit) as exc:
+        run(["evolve", "--steps", "2", "--dt", dt])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("shadowsim evolve: invariant violation: waves: norm residual")
+    assert err.endswith(" > tolerance 1e-08\n")
 
 
 def test_non_finite_alpha_exits_2_from_the_shell():

@@ -154,15 +154,31 @@ def random_dual_state(grid, rng):
     return DualFockState(grid, prim, dict(prim))
 
 
-@pytest.mark.parametrize("statistics", ["boson", "fermion"])
-def test_ladder_ops_match_matrix_oracle(statistics):
+def few_key_states(grid):
+    """Vacuum, every mode at the cutoff, and for bosons a position state."""
+    full = (grid.max_occupation,) * grid.mode_count
+    states = [vacuum(grid), DualFockState(grid, {full: 1j}, {full: 1j})]
+    if grid.statistics == "boson":
+        states.append(position_create(grid, 0.3, 0.0))
+    return states
+
+
+@pytest.mark.parametrize("grid", [
+    pytest.param(boson_grid(2, 3), id="boson"),
+    pytest.param(fermion_grid(3), id="fermion"),
+    pytest.param(boson_grid(1, 5), id="boson-1x5"),
+    pytest.param(boson_grid(3, 2), id="boson-3x2"),
+    pytest.param(boson_grid(2, 4), id="boson-2x4"),
+    pytest.param(fermion_grid(1), id="fermion-1"),
+    pytest.param(fermion_grid(5), id="fermion-5"),
+])
+def test_ladder_ops_match_matrix_oracle(grid):
     rng = np.random.default_rng(11)
-    grid = boson_grid(2, 3) if statistics == "boson" else fermion_grid(3)
     for mode in range(grid.mode_count):
         a = oracle_mode_matrix(grid, mode)
         assert np.array_equal(fock.annihilation_matrix(grid, mode), a)
-        for _ in range(20):
-            state = random_dual_state(grid, rng)
+        randoms = [random_dual_state(grid, rng) for _ in range(20)]
+        for state in randoms + few_key_states(grid):
             vec = state.to_vector()
             np.testing.assert_allclose(
                 apply_b(state, mode).to_vector(), a @ vec, atol=1e-13)

@@ -3,7 +3,8 @@
 Each case runs ``shadowsim.cli.run`` in process, for two seeds, and
 compares the sha256 of the written document with a pinned digest. The cases
 are small, except readout, product and collapse, which also run at their
-default 10 000 shots, and the two largest algebra grids (dim 625 and 256). A change that keeps every document byte-identical
+default 10 000 shots, and the three largest algebra grids (dim 15625, 625
+and 256). A change that keeps every document byte-identical
 keeps these green; a change that alters output bytes on purpose must update
 the entries it alters and say so in CHANGES.md.
 
@@ -38,6 +39,7 @@ CASES = {
     "algebra-fermion-5": ["algebra", "--modes", "5", "--statistics", "fermion"],
     "algebra-4x4": ["algebra", "--modes", "4", "--nmax", "4"],
     "algebra-fermion-8": ["algebra", "--modes", "8", "--statistics", "fermion"],
+    "algebra-6x4": ["algebra", "--modes", "6", "--nmax", "4"],
     "evolve": ["evolve", "--points", "256", "--steps", "50"],
     "evolve-harmonic": ["evolve", "--points", "256", "--steps", "50",
                         "--potential", "harmonic", "--k0", "1"],
@@ -62,6 +64,8 @@ DIGESTS = {
     "algebra-4x4/2": "46a56b053da161301a230c4a2ec3f1a5ed0a4635d2698f7fa4648d94c98e1b3c",
     "algebra-fermion-8/1": "e5cd77a61db177facfd7333efd173e12dd7333697e92e67efe58ff3e855ae627",
     "algebra-fermion-8/2": "0471ad71d195d5c371ad7b87430db0f947a8b007ede80093fbbefbef884a6768",
+    "algebra-6x4/1": "b5ab743cc3382d90a1e2a8316fc8b1ddbd62fbffb5eea03502df0bb0f05e652a",
+    "algebra-6x4/2": "f09729b00116bf327dadcf1c09963731ed80722088c3c6e5c4ae764b6cfe2cc0",
     "bell/1": "3be80321a1dc2362b0ae86908c5be07faeb60de40dd3bdcf0f466e149976b0ae",
     "bell/2": "da5077cfdca125a2b4b41258ff493da98c84feadd2c7ae1905f8826411753e87",
     "collapse/1": "d5b10f901a4204f353e4891577f375b70d4bffb86ab184ead887167625507bb5",

@@ -36,6 +36,16 @@ def test_gaussian_packet_normalized():
     assert grid.mirror_deviation() == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-300])
+def test_tiny_samples_normalize(scale):
+    # their squares underflow; an exact power-of-two scale comes first
+    samples = np.exp(-np.linspace(-3.0, 3.0, 64) ** 2)
+    grid = from_samples(-4.0, 4.0, scale * samples)
+    assert grid.norm() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(grid.psi_primary,
+                               from_samples(-4.0, 4.0, samples).psi_primary, rtol=1e-14)
+
+
 def test_grid_validation():
     psi = np.ones(8, dtype=complex)
     with pytest.raises(ValueError):
