@@ -16,14 +16,30 @@ position, goes through the package's one sampler,
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .measurement import sample_outcome
 from .register import check_dual, mirror_deviation, normalized
+
+# this module, through which the solver reaches its lazily loaded scipy names
+_this = sys.modules[__name__]
+
+
+def __getattr__(name):
+    """Bind scipy.sparse as ``sp`` and scipy.sparse.linalg as ``spla`` on first
+    use: only the Crank-Nicolson solver needs them, and loading them at import
+    would cost every other caller about 0.3 s."""
+    if name not in ("sp", "spla"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    globals().setdefault("sp", scipy.sparse)
+    globals().setdefault("spla", scipy.sparse.linalg)
+    return globals()[name]
 
 
 @dataclass(frozen=True)
@@ -38,13 +54,10 @@ class WaveGrid:
     mass: float = 1.0
 
     def __post_init__(self):
-        if np.ndim(self.psi_primary) != 1 or np.size(self.psi_primary) < 16:
-            raise ValueError("grid needs at least 16 points")
-        if self.x_max <= self.x_min:
-            raise ValueError("x_max must exceed x_min")
+        points = np.size(self.psi_primary) if np.ndim(self.psi_primary) == 1 else 0
+        dx = _spacing(self.x_min, self.x_max, points)
         if self.mass <= 0:
             raise ValueError("mass must be positive")
-        dx = (self.x_max - self.x_min) / np.size(self.psi_primary)
         prim, shad = check_dual("waves", self.psi_primary, self.psi_shadow,
                                 lambda p: np.sum(np.abs(p) ** 2) * dx)
         object.__setattr__(self, "psi_primary", prim)
@@ -70,12 +83,25 @@ class WaveGrid:
         return mirror_deviation(self.psi_primary, self.psi_shadow)
 
 
+def _spacing(x_min, x_max, points):
+    """Cell width of a grid of `points` cells on [x_min, x_max], after the
+    grid rules are checked: nothing divides by a bad count or width."""
+    if points < 16:
+        raise ValueError(f"grid needs at least 16 points, got {points}")
+    if not 0.0 < x_max - x_min < np.inf:
+        raise ValueError(f"grid bounds must be finite with x_min < x_max: {x_min}, {x_max}")
+    return (x_max - x_min) / points
+
+
 def gaussian_packet(x_min, x_max, points, x0=0.0, sigma=1.0, k0=0.0, mass=1.0, t=0.0):
     """Normalized Gaussian wave packet with central momentum k0, mirrored."""
+    dx = _spacing(x_min, x_max, points)
+    if not (np.isfinite(x0) and np.isfinite(k0)):
+        raise ValueError(f"x0 and k0 must be finite: {x0}, {k0}")
     # products, not float **, which raises OverflowError instead of giving inf
     if not (sigma > 0 and 0.0 < 4.0 * sigma * sigma < np.inf):
         raise ValueError(f"sigma must be positive with 4 sigma^2 finite and > 0: {sigma}")
-    x = x_min + (x_max - x_min) / points * (np.arange(points) + 0.5)
+    x = x_min + dx * (np.arange(points) + 0.5)
     with np.errstate(over="ignore"):  # exp(-inf) is the exact zero tail
         psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma ** 2) + 1j * k0 * x)
     return from_samples(x_min, x_max, psi, mass=mass, t=t)
@@ -83,7 +109,7 @@ def gaussian_packet(x_min, x_max, points, x0=0.0, sigma=1.0, k0=0.0, mass=1.0, t
 
 def from_samples(x_min, x_max, values, mass=1.0, t=0.0):
     """Wave grid from raw complex samples, normalized and mirrored."""
-    dx = (x_max - x_min) / np.size(values)
+    dx = _spacing(x_min, x_max, np.size(values))
     psi = normalized(values, lambda p: np.sqrt(np.sum(np.abs(p) ** 2) * dx),
                      "a wave function")
     return WaveGrid(x_min, x_max, psi, psi.copy(), t=t, mass=mass)
@@ -112,6 +138,7 @@ class Potential:
 
 
 def _hamiltonian(grid, v, boundary):
+    sp = _this.sp
     n = grid.points
     dx2 = grid.dx ** 2
     lap = sp.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
@@ -144,8 +171,8 @@ def evolve(grid, v, dt, steps, boundary="periodic"):
         half_step = 0.5j * dt * h
     if not np.all(np.isfinite(half_step.data)):
         raise ValueError(f"step matrix i dt H / 2 is not finite for dt={dt}")
-    eye = sp.identity(grid.points, format="csc")
-    forward = spla.splu((eye + half_step).tocsc())
+    eye = _this.sp.identity(grid.points, format="csc")
+    forward = _this.spla.splu((eye + half_step).tocsc())
     back = (eye - half_step).tocsc()
     # columns: primary and shadow, advanced by one solve per step
     psi = np.stack((grid.psi_primary, grid.psi_shadow), axis=1)

@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy import stats
 
-from shadowsim.cli import _merged_cell_starts, run, to_csv, to_json
+from shadowsim.cli import _merged_cell_starts, _merged_chisquare, run, to_csv, to_json
 
 
 def invoke(argv, tmp_path, name="out.json"):
@@ -233,3 +236,127 @@ def test_collapse_single_cell_has_nothing_to_test(argv, tmp_path):
     results = json.loads(doc)["results"]
     assert code == 0
     assert (results["chi_square"], results["p_value"]) == (0.0, 1.0)
+
+
+# --- one parser per process ----------------------------------------------------------
+
+# different subcommands and formats back to back: a default or a namespace
+# left over from one request would show in a later document
+BACK_TO_BACK = [
+    ["teleport", "--shots", "3", "--seed", "4", "--alpha", "1", "--beta", "0"],
+    ["teleport", "--seed", "4"],
+    ["algebra", "--modes", "2", "--nmax", "1", "--statistics", "fermion", "--format", "csv"],
+    ["algebra", "--modes", "2", "--nmax", "2"],
+    ["bell"],
+    ["evolve", "--points", "64", "--steps", "3", "--x0", "-1e-3"],
+    ["collapse", "--shots", "50", "--points", "64"],
+    ["erratum"],
+]
+
+
+def test_back_to_back_requests_match_fresh_processes(tmp_path):
+    in_process = [invoke(argv, tmp_path, f"in-{i}.out") for i, argv in enumerate(BACK_TO_BACK)]
+    for i, argv in enumerate(BACK_TO_BACK):
+        path = tmp_path / f"fresh-{i}.out"
+        proc = subprocess.run([sys.executable, "-m", "shadowsim.cli", *argv,
+                               "--output", str(path)], capture_output=True, text=True)
+        assert (proc.returncode, path.read_bytes()) == in_process[i], argv
+
+
+# --- negative option values --------------------------------------------------------------
+
+@pytest.mark.parametrize("flag,value", [("--x0", "-1e-3"), ("--k0", "-2.5E+0"),
+                                        ("--xmin", "-2e1")])
+def test_negative_exponent_value_reads_like_the_equals_form(flag, value, tmp_path):
+    argv = ["evolve", "--points", "64", "--steps", "3"]
+    spaced = invoke(argv + [flag, value], tmp_path, "spaced.json")
+    joined = invoke(argv + [f"{flag}={value}"], tmp_path, "joined.json")
+    assert spaced == joined
+    assert json.loads(spaced[1])["config"][flag[2:]] == float(value)
+
+
+def test_negative_infinity_reaches_the_grid_check(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["evolve", "--xmin", "-inf"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "shadowsim evolve: error: grid bounds must be finite with x_min < x_max: -inf, 20.0\n"
+
+
+# --- grid inputs ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--points", "0"],
+    ["evolve", "--points", "-5"],
+    ["collapse", "--points", "0"],
+    ["evolve", "--xmin=5", "--xmax=-5"],
+    ["evolve", "--xmin=1e308", "--xmax=-1e308"],
+    ["evolve", "--xmin=-1e308", "--xmax=1e308"],
+    ["evolve", "--xmin=nan"],
+    ["evolve", "--k0=inf"],
+    ["evolve", "--x0=-inf"],
+    ["evolve", "--x0=nan"],
+])
+def test_bad_grid_inputs_exit_2_with_one_line(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+    assert exc.value.code == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"shadowsim {argv[0]}: error:")
+
+
+# --- scipy off the import path -----------------------------------------------------------
+
+IMPORT_PATH = """
+import os, sys
+from shadowsim import cli
+for argv in (["algebra"], ["erratum"], ["bell"], ["teleport"]):
+    cli.run(argv + ["--output", os.devnull])
+print(",".join(m for m in sys.modules if m.startswith("scipy")))
+cli.run(["collapse", "--output", os.devnull])
+print(",".join(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.sparse"))))
+"""
+
+
+def test_scipy_stays_off_the_import_path():
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PATH], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n\n"
+
+
+# --- chi-square against its scipy oracle -------------------------------------------------
+
+def _scipy_merged_chisquare(counts, expected):
+    starts = _merged_cell_starts(expected)
+    chi = stats.chisquare(np.add.reduceat(counts, starts), np.add.reduceat(expected, starts))
+    return float(chi.statistic), float(chi.pvalue)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 400), st.floats(1e-3, 1.0)), min_size=2, max_size=30),
+       st.sampled_from([1.0, 1.0 + 1e-9, 1.0 + 1e-6, 0.97]))
+def test_merged_chisquare_equals_scipy_bit_for_bit(cells, scale):
+    counts = np.array([n for n, _ in cells])
+    weights = np.array([w for _, w in cells])
+    expected = weights / weights.sum() * counts.sum() * scale
+    assume(len(_merged_cell_starts(expected)) >= 2)
+    try:
+        oracle = _scipy_merged_chisquare(counts, expected)
+    except ValueError:
+        with pytest.raises(ValueError, match="relative tolerance"):
+            _merged_chisquare(counts, expected)
+    else:
+        assert _merged_chisquare(counts, expected) == oracle
+
+
+def test_merged_chisquare_rejects_unequal_sums():
+    counts, expected = np.array([10, 10, 10]), np.array([10.0, 10.0, 10.001])
+    with pytest.raises(ValueError):
+        _scipy_merged_chisquare(counts, expected)
+    with pytest.raises(ValueError, match="relative tolerance"):
+        _merged_chisquare(counts, expected)
