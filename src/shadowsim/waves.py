@@ -31,7 +31,7 @@ _this = sys.modules[__name__]
 def __getattr__(name):
     """Bind scipy.sparse as ``sp`` and scipy.sparse.linalg as ``spla`` on first
     use: only the Crank-Nicolson solver needs them, and loading them at import
-    would cost every other caller about 0.3 s."""
+    would slow the start of every subcommand."""
     if name not in ("sp", "spla"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     import scipy.sparse
@@ -102,7 +102,9 @@ def gaussian_packet(x_min, x_max, points, x0=0.0, sigma=1.0, k0=0.0, mass=1.0, t
     if not (sigma > 0 and 0.0 < 4.0 * sigma * sigma < np.inf):
         raise ValueError(f"sigma must be positive with 4 sigma^2 finite and > 0: {sigma}")
     x = x_min + dx * (np.arange(points) + 0.5)
-    with np.errstate(over="ignore"):  # exp(-inf) is the exact zero tail
+    # exp(-inf) is the exact zero tail; a k0 x that overflows gives a NaN
+    # phase, which the normalization rejects
+    with np.errstate(over="ignore", invalid="ignore"):
         psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma ** 2) + 1j * k0 * x)
     return from_samples(x_min, x_max, psi, mass=mass, t=t)
 

@@ -294,6 +294,7 @@ def test_negative_infinity_reaches_the_grid_check(capsys):
     ["evolve", "--xmin=-1e308", "--xmax=1e308"],
     ["evolve", "--xmin=nan"],
     ["evolve", "--k0=inf"],
+    ["evolve", "--k0=1e308"],
     ["evolve", "--x0=-inf"],
     ["evolve", "--x0=nan"],
 ])
