@@ -29,7 +29,7 @@ from .protocols import (
 )
 # not called here since the walker replaced them; bench/tracing.py wraps them
 from .protocols import run_entanglement_swap, run_teleportation  # noqa: F401
-from .register import BellKind, InvariantViolation
+from .register import TOLERANCES, BellKind, InvariantViolation
 
 RESOURCE_NAMES = {k.value: k for k in BellKind}
 
@@ -111,33 +111,38 @@ def _parse_complex(text):
 # subcommands: each returns (results, invariants, errata, fieldnames, rows)
 
 
+def _shot_rows(rows, index):
+    """One row per shot, numbered, from the row of the shot's outcome path."""
+    return [{"shot": s, **rows[i]} for s, i in enumerate(index.tolist())]
+
+
 def _cmd_teleport(args, rng):
     resource = RESOURCE_NAMES[args.resource]
     table = derive_correction_table(resource)
-    runs = teleportation_shots(args.alpha, args.beta, resource, args.shots, rng, table)
-    shots = [{"shot": s, "outcome": r.outcome.value, "probability": r.probability,
-              "fidelity": r.fidelity_with_input} for s, r in enumerate(runs)]
-    worst_fid = min([1.0] + [r.fidelity_with_input for r in runs])
-    worst_dev = max([0.0] + [r.shadow_deviation for r in runs])
+    paths, index = teleportation_shots(args.alpha, args.beta, resource, args.shots, rng, table)
+    shots = _shot_rows([{"outcome": r.outcome.value, "probability": r.probability,
+                         "fidelity": r.fidelity_with_input} for r in paths], index)
+    worst_fid = min([1.0] + [r.fidelity_with_input for r in paths])
+    worst_dev = max([0.0] + [r.shadow_deviation for r in paths])
     results = {"shots": shots, "min_fidelity": worst_fid}
     invariants = {
         "teleportation_fidelity": _invariant(1.0 - worst_fid, 1e-10),
-        "mirror": _invariant(worst_dev, 1e-12),
+        "mirror": _invariant(worst_dev, TOLERANCES["register"]["mirror"]),
     }
     return results, invariants, [], ["shot", "outcome", "probability", "fidelity"], shots
 
 
 def _cmd_swap(args, rng):
     mapping = swap_outcome_map()
-    runs = swap_shots(args.shots, rng, mapping)
-    shots = [{"shot": s, "outcome": r.outcome.value,
-              "remote_kind": r.predicted_remote_kind.value,
-              "fidelity": r.fidelity_with_prediction} for s, r in enumerate(runs)]
+    paths, index = swap_shots(args.shots, rng, mapping)
+    shots = _shot_rows([{"outcome": r.outcome.value,
+                         "remote_kind": r.predicted_remote_kind.value,
+                         "fidelity": r.fidelity_with_prediction} for r in paths], index)
     counts = {k.value: 0 for k in BellKind}
-    for r in runs:
-        counts[r.outcome.value] += 1
-    worst_fid = min([1.0] + [r.fidelity_with_prediction for r in runs])
-    worst_dev = max([0.0] + [r.shadow_deviation for r in runs])
+    for r, n in zip(paths, np.bincount(index).tolist()):
+        counts[r.outcome.value] = n
+    worst_fid = min([1.0] + [r.fidelity_with_prediction for r in paths])
+    worst_dev = max([0.0] + [r.shadow_deviation for r in paths])
     freq_dev = max(abs(counts[k.value] / args.shots - 0.25) for k in BellKind)
     sigma = np.sqrt(0.25 * 0.75 / args.shots)
     results = {
@@ -149,7 +154,7 @@ def _cmd_swap(args, rng):
     invariants = {
         "swap_fidelity": _invariant(1.0 - worst_fid, 1e-10),
         "outcome_frequencies": _invariant(freq_dev, 3.0 * sigma),
-        "mirror": _invariant(worst_dev, 1e-12),
+        "mirror": _invariant(worst_dev, TOLERANCES["register"]["mirror"]),
     }
     return results, invariants, [], ["shot", "outcome", "remote_kind", "fidelity"], shots
 
@@ -258,7 +263,7 @@ def _cmd_evolve(args, rng):
     }
     invariants = {
         "norm_drift": _invariant(norm_drift, 1e-8),
-        "mirror": _invariant(out.mirror_deviation(), 1e-10),
+        "mirror": _invariant(out.mirror_deviation(), TOLERANCES["waves"]["mirror"]),
     }
     if args.potential == "free" and args.k0 == 0.0:
         t = args.dt * args.steps
@@ -331,7 +336,7 @@ def _cmd_collapse(args, rng):
     invariants = {
         "collapse_statistics": _invariant(1.0 - p_value, 1.0 - 0.001),
         "support_confinement": _invariant(0.0 if support_ok else 1.0, 0.0),
-        "mirror": _invariant(worst_dev, 1e-10),
+        "mirror": _invariant(worst_dev, TOLERANCES["waves"]["mirror"]),
     }
     rows = [{"zone": i, "probability": float(probs[i]), "count": int(counts[i])}
             for i in range(args.zones)]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .register import check_dual, mirror_deviation
+from .register import check_dual, mirror_deviation, normalized
 
 @dataclass(frozen=True)
 class ModeGrid:
@@ -60,12 +60,6 @@ class ModeGrid:
     def basis_occupations(self):
         """All occupation tuples, in the order of vectors and matrices."""
         return [tuple(occ) for occ in _digits(self).tolist()]
-
-    def index_of(self, occ):
-        idx = 0
-        for n in occ:
-            idx = idx * self.mode_dim + n
-        return idx
 
 
 @dataclass(frozen=True)
@@ -120,18 +114,21 @@ class DualFockState:
     def mirror_deviation(self):
         return mirror_deviation(*self._aligned())
 
+    def _occupations(self):
+        """The primary's keys as rows of an integer array."""
+        return np.array(list(self.primary), dtype=int).reshape(-1, self.grid.mode_count)
+
     def normalized(self):
-        n = self.norm()
-        if n == 0.0:
+        if self.is_zero:
             raise ValueError("cannot normalize the zero vector")
-        prim = {k: v / n for k, v in self.primary.items()}
+        amps = normalized(list(self.primary.values()), np.linalg.norm, "a Fock state")
+        prim = dict(zip(self.primary, amps.tolist()))
         return DualFockState(self.grid, prim, dict(prim))
 
     def to_vector(self):
         """Dense primary amplitude vector in basis_occupations() order."""
         vec = np.zeros(self.grid.dim, dtype=complex)
-        for occ, amp in self.primary.items():
-            vec[self.grid.index_of(occ)] = amp
+        vec[self._occupations() @ _place_values(self.grid)] = list(self.primary.values())
         return vec
 
 
@@ -145,10 +142,15 @@ def vacuum(grid):
 # the ladder rule, and its two walkers
 
 
+def _place_values(grid):
+    """Basis index of one quantum in each mode: an occupation row's index is
+    its dot product with these, mode 0 the most significant digit."""
+    return grid.mode_dim ** np.arange(grid.mode_count - 1, -1, -1)
+
+
 def _digits(grid):
     """Occupations of every basis state: row c is column c's tuple."""
-    place = grid.mode_dim ** np.arange(grid.mode_count - 1, -1, -1)
-    return (np.arange(grid.dim)[:, None] // place) % grid.mode_dim
+    return (np.arange(grid.dim)[:, None] // _place_values(grid)) % grid.mode_dim
 
 
 def _ladder(grid, occ, mode, delta):
@@ -167,7 +169,7 @@ def _ladder(grid, occ, mode, delta):
 
 def _apply_ladder(state, mode, delta, normalize):
     grid = state.grid
-    occ = np.array(list(state.primary), dtype=int).reshape(-1, grid.mode_count)
+    occ = state._occupations()
     hit, factor = _ladder(grid, occ, mode, delta)
     occ[:, mode] += delta
     amps = factor * np.array(list(state.primary.values()), dtype=complex)
@@ -200,7 +202,7 @@ def _ladder_map(grid, mode, delta):
     """Column map (rows, factors) of the ladder operator `delta` on `mode`:
     basis column c goes to row rows[c], or nowhere when rows[c] is -1."""
     hit, factor = _ladder(grid, _digits(grid), mode, delta)
-    rows = np.arange(grid.dim) + delta * grid.mode_dim ** (grid.mode_count - 1 - mode)
+    rows = np.arange(grid.dim) + delta * _place_values(grid)[mode]
     return np.where(hit, rows, -1), np.where(hit, factor, 0.0)
 
 
@@ -304,8 +306,8 @@ def position_create(grid, x, t, params=None, relativistic=False):
     if grid.statistics != "boson":
         raise ValueError("position creation is defined for boson grids")
     params = params or DispersionParams()
-    amps = position_amplitudes(grid, x, t, params, relativistic)
-    amps = amps / np.linalg.norm(amps)
+    amps = normalized(position_amplitudes(grid, x, t, params, relativistic), np.linalg.norm,
+                      "position amplitudes")
     prim = {}
     for k, a in enumerate(amps):
         occ = tuple(1 if m == k else 0 for m in range(grid.mode_count))

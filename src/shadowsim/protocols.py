@@ -3,8 +3,9 @@
 Every demo runs its shots through the walker ``measurement.measure_shots``:
 what the far side reads depends only on the outcome path, so each path's
 result is built once. ``teleportation_shots`` and ``swap_shots`` return one
-result per shot (``run_teleportation`` and ``run_entanglement_swap`` are
-their one-shot case) and the readout demos count shots per path.
+result per distinct outcome path and each shot's path index
+(``run_teleportation`` and ``run_entanglement_swap`` are their one-shot case),
+and the readout demos count shots per path from the same index.
 
 The module also contains the brute-force Bell-decomposition oracle: any state
 is expanded branch-by-branch through the same projection kernel the Bell
@@ -16,7 +17,6 @@ Mismatches surface in the erratum report rather than being corrected silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -64,9 +64,7 @@ def reassemble_branches(branches, n, pair):
 class DecompositionReport:
     identity_name: str
     derived_branches: dict
-    printed_branches: dict
     residuals: dict            # exact L2 distance, unnormalized branches
-    phase_free_residuals: dict  # phase-invariant distance, normalized branches
     verdicts: dict             # per branch: "match" | "erratum"
     reassembly_residual: float
 
@@ -81,22 +79,17 @@ def derive_decomposition(state: DualRegister, pair, printed_branches, identity_n
     if n < 2:
         raise ValueError("decomposition needs at least two qubits")
     derived = bell_branches(state.primary, n, pair)
-    residuals, phase_free, verdicts = {}, {}, {}
+    residuals = {}
     for kind in BellKind:
         printed = np.asarray(printed_branches[kind], dtype=complex)
         residuals[kind] = float(np.linalg.norm(derived[kind] - printed))
-        dn = derived[kind] / np.linalg.norm(derived[kind])
-        pn = printed / np.linalg.norm(printed)
-        phase_free[kind] = phase_invariant_distance(dn, pn)
-        verdicts[kind] = "match" if residuals[kind] < BRANCH_TOL else "erratum"
     reassembled = reassemble_branches(derived, n, pair)
     return DecompositionReport(
         identity_name=identity_name,
         derived_branches=derived,
-        printed_branches={k: np.asarray(v, dtype=complex) for k, v in printed_branches.items()},
         residuals=residuals,
-        phase_free_residuals=phase_free,
-        verdicts=verdicts,
+        verdicts={kind: "match" if r < BRANCH_TOL else "erratum"
+                  for kind, r in residuals.items()},
         reassembly_residual=float(np.linalg.norm(reassembled - state.primary)),
     )
 
@@ -159,15 +152,6 @@ def swap_decomposition():
 # correction tables
 
 
-@dataclass(frozen=True)
-class CorrectionTable:
-    resource: BellKind
-    unitaries: dict  # BellKind -> 2x2 unitary
-
-    def __getitem__(self, kind):
-        return self.unitaries[kind]
-
-
 def _branch_matrix(resource, kind):
     """2x2 matrix M with pre-correction remote branch = M @ (alpha, beta),
     reconstructed from two linearly independent numeric probes."""
@@ -188,7 +172,8 @@ def _is_identity_multiple(d):
 
 
 def derive_correction_table(resource: BellKind, rng=None):
-    """Search the phase-extended Pauli group for the unitary undoing each branch.
+    """Search the phase-extended Pauli group for the unitary undoing each branch:
+    {BellKind: 2x2 unitary}.
 
     A candidate is accepted when U @ M is proportional to the identity and the
     correction is confirmed on a third random probe.
@@ -211,7 +196,7 @@ def derive_correction_table(resource: BellKind, rng=None):
         if phase_invariant_distance(corrected / np.linalg.norm(corrected), probe) > 1e-10:
             raise RuntimeError(f"correction for {kind} failed the probe check")
         unitaries[kind] = found
-    return CorrectionTable(resource=resource, unitaries=unitaries)
+    return unitaries
 
 
 # ---------------------------------------------------------------------------
@@ -222,43 +207,41 @@ def derive_correction_table(resource: BellKind, rng=None):
 class TeleportationResult:
     outcome: BellKind
     probability: float
-    pre_correction_remote: DualRegister
-    corrected_remote: DualRegister
     fidelity_with_input: float
     shadow_deviation: float
 
 
-def _per_shot(state, pair, shots, rng, result):
-    """result(record) of each shot's Bell measurement of the pair, one
-    rng.random() per shot; built once per distinct outcome."""
-    step = (pair, BELL_BASIS, BELL_LABELS)
-    paths, index = measure_shots(state, [step], rng.random((shots, 1)))
-    results = [result(record) for record, in paths]
-    return [results[i] for i in index]
+def _paths(state, steps, u, result):
+    """result(*path) of each distinct outcome path of the steps on state, built
+    once, and each shot's path index: measurement.measure_shots with row i of
+    u holding shot i's uniforms."""
+    paths, index = measure_shots(state, steps, u)
+    return [result(*path) for path in paths], index
 
 
 def teleportation_shots(alpha, beta, resource, shots, rng, table):
-    """One teleportation round per shot: prepare, Bell-measure (0,1), correct
-    qubit 2."""
+    """Teleportation rounds, one rng.random() per shot: prepare, Bell-measure
+    (0,1), correct qubit 2. Returns one TeleportationResult per distinct
+    outcome and each shot's index into them."""
     target = from_amplitudes([alpha, beta], 1)
 
     def result(record):
-        remote = record.remote_state_via_shadow
-        corrected = apply_unitary(remote, [0], table[record.outcome])
+        corrected = apply_unitary(record.remote_state_via_shadow, [0], table[record.outcome])
         dev = max(record.post_state.mirror_deviation(), corrected.mirror_deviation())
-        return TeleportationResult(record.outcome, record.probability, remote, corrected,
+        return TeleportationResult(record.outcome, record.probability,
                                    fidelity(corrected, target), dev)
 
-    return _per_shot(teleport_input_state(alpha, beta, resource), (0, 1), shots, rng, result)
+    return _paths(teleport_input_state(alpha, beta, resource),
+                  [((0, 1), BELL_BASIS, BELL_LABELS)], rng.random((shots, 1)), result)
 
 
-def run_teleportation(alpha, beta, resource=BellKind.PHI_MINUS, rng=None,
-                      table: Optional[CorrectionTable] = None):
+def run_teleportation(alpha, beta, resource=BellKind.PHI_MINUS, rng=None, table=None):
     """One shot of teleportation_shots; derives the table if none is given."""
     rng = rng or np.random.default_rng()
     if table is None:
         table = derive_correction_table(resource)
-    return teleportation_shots(alpha, beta, resource, 1, rng, table)[0]
+    results, index = teleportation_shots(alpha, beta, resource, 1, rng, table)
+    return results[index[0]]
 
 
 @dataclass(frozen=True)
@@ -279,9 +262,10 @@ def swap_outcome_map():
 
 
 def swap_shots(shots, rng, outcome_map):
-    """One swap round per shot: Bell-measure the middle pair of two singlets;
-    the outer pair collapses, via the shadow register, onto the predicted
-    Bell state."""
+    """Swap rounds, one rng.random() per shot: Bell-measure the middle pair of
+    two singlets; the outer pair collapses, via the shadow register, onto the
+    predicted Bell state. Returns one SwapResult per distinct outcome and each
+    shot's index into them."""
 
     def result(record):
         remote = record.remote_state_via_shadow
@@ -290,7 +274,8 @@ def swap_shots(shots, rng, outcome_map):
         return SwapResult(record.outcome, predicted, remote,
                           fidelity(remote, bell_pair(predicted)), dev)
 
-    return _per_shot(swap_input_state(), (1, 2), shots, rng, result)
+    return _paths(swap_input_state(), [((1, 2), BELL_BASIS, BELL_LABELS)],
+                  rng.random((shots, 1)), result)
 
 
 def run_entanglement_swap(rng=None, outcome_map=None):
@@ -298,7 +283,8 @@ def run_entanglement_swap(rng=None, outcome_map=None):
     rng = rng or np.random.default_rng()
     if outcome_map is None:
         outcome_map = swap_outcome_map()
-    return swap_shots(1, rng, outcome_map)[0]
+    results, index = swap_shots(1, rng, outcome_map)
+    return results[index[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +300,6 @@ class ReadoutStats:
     marginal0_up_fraction: float
 
 
-def _path_counts(state, steps, u):
-    """Each distinct outcome path of the steps on state, with its shot count."""
-    paths, index = measure_shots(state, steps, u)
-    return list(zip(paths, np.bincount(index, minlength=len(paths)).tolist()))
-
-
 def _step(qubit, basis):
     return ((qubit,), basis, (0, 1))
 
@@ -330,15 +310,19 @@ def entangled_readout_demo(shots, rng=None):
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = rng or np.random.default_rng()
-    counts, corr, ups, min_fid = {}, 0, 0, 1.0
-    steps = [_step(0, Z_BASIS), _step(1, Z_BASIS)]
-    for (rec0, rec1), n in _path_counts(bell_pair(BellKind.PHI_PLUS), steps,
-                                        rng.random((shots, 2))):
+
+    def result(rec0, rec1):
         expected = from_amplitudes(Z_BASIS[:, rec0.outcome], 1)
-        min_fid = min(min_fid, fidelity(rec0.remote_state_via_shadow, expected))
-        counts[(rec0.outcome, rec1.outcome)] = n
-        corr += n * (1 - 2 * rec0.outcome) * (1 - 2 * rec1.outcome)
-        ups += n * (1 - rec0.outcome)
+        return rec0.outcome, rec1.outcome, fidelity(rec0.remote_state_via_shadow, expected)
+
+    paths, index = _paths(bell_pair(BellKind.PHI_PLUS), [_step(0, Z_BASIS), _step(1, Z_BASIS)],
+                          rng.random((shots, 2)), result)
+    counts, corr, ups = {}, 0, 0
+    for (s0, s1, _), n in zip(paths, np.bincount(index).tolist()):
+        counts[(s0, s1)] = n
+        corr += n * (1 - 2 * s0) * (1 - 2 * s1)
+        ups += n * (1 - s0)
+    min_fid = min([1.0] + [fid for _, _, fid in paths])
     return ReadoutStats(shots, counts, corr / shots, min_fid, ups / shots)
 
 
@@ -369,15 +353,18 @@ def product_state_demo(shots, rng=None):
     rng = rng or np.random.default_rng()
     u = rng.random((shots, 6))
     state, plus = product_plus_state(), from_amplitudes([1.0, 1.0], 1)
+
+    def result(*path):
+        return path[-1].outcome, path[0].remote_state_via_shadow
+
     # each shot draws, in order: measured case (qubit 0 read out first) in z
     # and in x, then the control case (qubit 0 untouched) in z and in x
-    measured_z = _path_counts(state, [_step(0, Z_BASIS), _step(1, Z_BASIS)], u[:, 0:2])
-    min_fid = min([1.0] + [fidelity(path[0].remote_state_via_shadow, plus)
-                           for path, _ in measured_z])
-    mz, mx, cz, cx = [
-        sum(n for path, n in paths if path[-1].outcome == 0) / shots for paths in (
-            measured_z,
-            _path_counts(state, [_step(0, Z_BASIS), _step(1, X_BASIS)], u[:, 2:4]),
-            _path_counts(state, [_step(1, Z_BASIS)], u[:, 4:5]),
-            _path_counts(state, [_step(1, X_BASIS)], u[:, 5:6]))]
+    runs = [_paths(state, steps, u[:, cols], result) for steps, cols in (
+        ([_step(0, Z_BASIS), _step(1, Z_BASIS)], slice(0, 2)),
+        ([_step(0, Z_BASIS), _step(1, X_BASIS)], slice(2, 4)),
+        ([_step(1, Z_BASIS)], slice(4, 5)),
+        ([_step(1, X_BASIS)], slice(5, 6)))]
+    mz, mx, cz, cx = [np.count_nonzero(np.array([o for o, _ in paths])[index] == 0) / shots
+                      for paths, index in runs]
+    min_fid = min([1.0] + [fidelity(remote, plus) for _, remote in runs[0][0]])
     return ProductStateStats(shots, abs(mz - cz), abs(mx - cx), min_fid, mz, cz, mx, cx)

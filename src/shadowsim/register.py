@@ -124,10 +124,6 @@ class DualRegister:
     def mirror_deviation(self):
         return mirror_deviation(self.primary, self.shadow)
 
-    def basis_labels(self):
-        return ["".join("ud"[int(b)] for b in f"{i:0{self.qubit_count}b}")
-                for i in range(2 ** self.qubit_count)]
-
 
 def normalized(values, norm, what):
     """`values` as a complex array divided by `norm` of it.  An exact power-of-two

@@ -73,8 +73,7 @@ class WaveGrid:
 
     @property
     def x(self):
-        # cell-centered samples: symmetric packets stay symmetric on the grid
-        return self.x_min + self.dx * (np.arange(self.points) + 0.5)
+        return _cell_centres(self.x_min, self.x_max, self.points)
 
     def norm(self):
         return float(np.sqrt(np.sum(np.abs(self.psi_primary) ** 2) * self.dx))
@@ -85,23 +84,33 @@ class WaveGrid:
 
 def _spacing(x_min, x_max, points):
     """Cell width of a grid of `points` cells on [x_min, x_max], after the
-    grid rules are checked: nothing divides by a bad count or width."""
+    grid rules are checked: nothing divides by a bad count or width, and the
+    width's square, which the Hamiltonian divides by, is a normal float."""
     if points < 16:
         raise ValueError(f"grid needs at least 16 points, got {points}")
     if not 0.0 < x_max - x_min < np.inf:
         raise ValueError(f"grid bounds must be finite with x_min < x_max: {x_min}, {x_max}")
-    return (x_max - x_min) / points
+    dx = (x_max - x_min) / points
+    if dx * dx < np.finfo(float).tiny:
+        raise ValueError(f"grid cell width {dx:g} is too small: its square is below "
+                         "the smallest normal float")
+    return dx
+
+
+def _cell_centres(x_min, x_max, points):
+    """Samples at the cell centres of the grid: symmetric packets stay
+    symmetric on it."""
+    return x_min + _spacing(x_min, x_max, points) * (np.arange(points) + 0.5)
 
 
 def gaussian_packet(x_min, x_max, points, x0=0.0, sigma=1.0, k0=0.0, mass=1.0, t=0.0):
     """Normalized Gaussian wave packet with central momentum k0, mirrored."""
-    dx = _spacing(x_min, x_max, points)
+    x = _cell_centres(x_min, x_max, points)
     if not (np.isfinite(x0) and np.isfinite(k0)):
         raise ValueError(f"x0 and k0 must be finite: {x0}, {k0}")
     # products, not float **, which raises OverflowError instead of giving inf
     if not (sigma > 0 and 0.0 < 4.0 * sigma * sigma < np.inf):
         raise ValueError(f"sigma must be positive with 4 sigma^2 finite and > 0: {sigma}")
-    x = x_min + dx * (np.arange(points) + 0.5)
     # exp(-inf) is the exact zero tail; a k0 x that overflows gives a NaN
     # phase, which the normalization rejects
     with np.errstate(over="ignore", invalid="ignore"):
@@ -232,9 +241,6 @@ class ZonePartition:
         edges = (0,) + self.cut_indices + (points,)
         return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
-    def volumes(self, grid):
-        return np.array([s.stop - s.start for s in self.slices(grid.points)]) * grid.dx
-
     @classmethod
     def equal_zones(cls, points, k):
         if k < 2:
@@ -363,8 +369,7 @@ def double_slit_accumulate(geometry, shots, bins, rng=None, wavelength=0.05,
     # domain wide enough that the spread packets stay clear of the wrap-around
     spread = duration / (2.0 * geometry.width)
     half_domain = max(4.0 * screen_halfwidth, 6.0 * spread)
-    dx = 2.0 * half_domain / points
-    x = -half_domain + dx * (np.arange(points) + 0.5)
+    x = _cell_centres(-half_domain, half_domain, points)
     half = geometry.separation / 2.0
     if slits == "both":
         psi0 = (np.exp(-((x + half) ** 2) / (4.0 * geometry.width ** 2))

@@ -166,6 +166,8 @@ def test_non_finite_alpha_exits_2_with_one_line(alpha, capsys):
     ["evolve", "--sigma", "nan"],
     ["evolve", "--sigma", "inf"],
     ["evolve", "--sigma", "1e300"],
+    ["evolve", "--xmin=0", "--xmax=1e-320", "--points", "64", "--steps", "2"],
+    ["evolve", "--xmin=0", "--xmax=1e-300", "--points", "64", "--steps", "2"],
 ])
 def test_degenerate_inputs_exit_2_with_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exc:

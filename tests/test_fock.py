@@ -119,6 +119,28 @@ def test_annihilate_vacuum_gives_zero_state():
     assert state.grid == grid
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_tiny_and_huge_amplitudes_normalize(scale):
+    # their squares underflow or overflow; an exact power-of-two scale comes first
+    grid = boson_grid()
+
+    def state(s):
+        prim = {(1, 0): 3.0 * s + 0j, (0, 2): 4j * s}
+        return DualFockState(grid, prim, dict(prim))
+
+    for op in (DualFockState.normalized, lambda st: apply_b_dagger(st, 0, normalize=True)):
+        got, want = op(state(scale)), op(state(1.0))
+        assert got.primary.keys() == want.primary.keys()
+        for occ, amp in want.primary.items():
+            assert got.amplitude(occ) == pytest.approx(amp, rel=1e-15)
+        assert got.mirror_deviation() == 0.0
+
+
+def test_zero_vector_cannot_be_normalized():
+    with pytest.raises(ValueError, match="zero vector"):
+        apply_b(vacuum(boson_grid()), 0).normalized()
+
+
 def test_annihilate_single():
     one = apply_b_dagger(vacuum(boson_grid()), 0)
     back = apply_b(one, 0)

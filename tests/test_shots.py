@@ -114,6 +114,14 @@ def per_shot(results, fidelity_field):
              r.shadow_deviation) for r in results]
 
 
+def expand(old, results, index):
+    """The walker's per-path results, one per shot through the path index,
+    after checking there is one result per distinct outcome of the loop."""
+    assert len(results) == len({r.outcome for r in results}) == len({r.outcome for r in old})
+    assert len(index) == len(old)
+    return [results[i] for i in index]
+
+
 @pytest.mark.parametrize("shots", SHOTS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_teleportation_shots_match_the_loop(seed, shots):
@@ -122,7 +130,7 @@ def test_teleportation_shots_match_the_loop(seed, shots):
     table = derive_correction_table(resource)
     old_rng, new_rng = rngs(seed)
     old = old_teleport(alpha, beta, resource, shots, old_rng, table)
-    new = teleportation_shots(alpha, beta, resource, shots, new_rng, table)
+    new = expand(old, *teleportation_shots(alpha, beta, resource, shots, new_rng, table))
     assert per_shot(new, "fidelity_with_input") == per_shot(old, "fidelity_with_input")
     assert_same_stream(old_rng, new_rng)
 
@@ -133,7 +141,7 @@ def test_swap_shots_match_the_loop(seed, shots):
     mapping = swap_outcome_map()
     old_rng, new_rng = rngs(seed)
     old = old_swap(shots, old_rng, mapping)
-    new = swap_shots(shots, new_rng, mapping)
+    new = expand(old, *swap_shots(shots, new_rng, mapping))
     fid = "fidelity_with_prediction"
     assert per_shot(new, fid) == per_shot(old, fid)
     assert [r.predicted_remote_kind for r in new] == [r.predicted_remote_kind for r in old]

@@ -1,0 +1,39 @@
+"""The benchmark's tracer, bench/tracing.py, against the names it patches.
+
+The tracer wraps shadowsim functions by name from outside the package, so a
+rename or a deletion in the package breaks it only when the benchmark runs.
+Here one request of each kind runs under it, and each must exit 0 and record
+spans in the layer it reaches.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("shadowsim_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("argv, layer", [
+    (["teleport", "--shots", "20", "--resource", "psi-plus"], "protocols"),
+    (["swap", "--shots", "40"], "protocols"),
+    (["readout", "--shots", "50"], "protocols"),
+    (["algebra", "--modes", "2", "--nmax", "2"], "fock"),
+    (["collapse", "--shots", "200", "--points", "64"], "waves"),
+])
+def test_request_runs_under_the_tracer(argv, layer, capsys):
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer) as run:
+        assert run(argv) == 0
+    assert capsys.readouterr().out.startswith("{")
+    layers = {tracer.names[k][0] for k in tracer.kind}
+    assert {"cli", layer} <= layers
+    assert tracer.layer_metrics()["cli.serialize_s"] > 0.0

@@ -54,6 +54,9 @@ def test_grid_validation():
         from_samples(0.0, 0.0, np.ones(32))  # empty interval -> bad norm
     with pytest.raises(ValueError):
         from_samples(-1.0, 1.0, np.zeros(32))
+    for x_max in (1e-320, 1e-300):  # a subnormal cell width, and a subnormal square
+        with pytest.raises(ValueError, match="smallest normal float"):
+            from_samples(0.0, x_max, np.ones(64))
 
 
 def test_potential_validation():
