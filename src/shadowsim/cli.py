@@ -13,6 +13,7 @@ import argparse
 import functools
 import re
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +39,21 @@ RESOURCE_NAMES = {k.value: k for k in BellKind}
 # deterministic serialization
 
 
+@dataclass(frozen=True)
+class ShotRows:
+    """A shot table: one row dict per outcome path and each shot's path index.
+
+    Iterating yields one numbered row per shot, `{"shot": s, **rows[i]}`;
+    `to_json` and `to_csv` write the same text but format each path's row once.
+    """
+
+    rows: list
+    index: list
+
+    def __iter__(self):
+        return ({"shot": s, **self.rows[i]} for s, i in enumerate(self.index))
+
+
 def _format_float(x):
     if x != x:
         raise ValueError("cannot serialize NaN")
@@ -61,6 +77,12 @@ def to_json(obj, indent=0):
         if len(obj) == 0:
             return "[]"
         return "[" + ", ".join(to_json(v, indent + 1) for v in obj) + "]"
+    if isinstance(obj, ShotRows):
+        # each path's row text once; per shot only the opening and its number
+        head = "{\n" + "  " * (indent + 2) + '"shot": '
+        tails = ["," + to_json(row, indent + 1)[1:] if row else "\n" + inner + "}"
+                 for row in obj.rows]
+        return "[" + ", ".join(head + str(s) + tails[i] for s, i in enumerate(obj.index)) + "]"
     if isinstance(obj, np.ndarray):
         return to_json(obj.tolist(), indent)
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -80,19 +102,23 @@ def to_json(obj, indent=0):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _csv_cell(v):
+    if isinstance(v, (float, np.floating)):
+        return _format_float(v)
+    if isinstance(v, (complex, np.complexfloating)):
+        return f"{_format_float(v.real)}+{_format_float(v.imag)}i"
+    return str(v)
+
+
 def to_csv(fieldnames, rows):
     lines = [",".join(fieldnames)]
-    for row in rows:
-        cells = []
-        for name in fieldnames:
-            v = row[name]
-            if isinstance(v, (float, np.floating)):
-                cells.append(_format_float(v))
-            elif isinstance(v, (complex, np.complexfloating)):
-                cells.append(f"{_format_float(v.real)}+{_format_float(v.imag)}i")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+    if isinstance(rows, ShotRows):
+        # "shot" is the first column; each path's other cells are formatted once
+        tails = ["".join("," + _csv_cell(row[name]) for name in fieldnames[1:])
+                 for row in rows.rows]
+        lines.extend(str(s) + tails[i] for s, i in enumerate(rows.index))
+    else:
+        lines.extend(",".join(_csv_cell(row[name]) for name in fieldnames) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -111,17 +137,12 @@ def _parse_complex(text):
 # subcommands: each returns (results, invariants, errata, fieldnames, rows)
 
 
-def _shot_rows(rows, index):
-    """One row per shot, numbered, from the row of the shot's outcome path."""
-    return [{"shot": s, **rows[i]} for s, i in enumerate(index.tolist())]
-
-
 def _cmd_teleport(args, rng):
     resource = RESOURCE_NAMES[args.resource]
     table = derive_correction_table(resource)
     paths, index = teleportation_shots(args.alpha, args.beta, resource, args.shots, rng, table)
-    shots = _shot_rows([{"outcome": r.outcome.value, "probability": r.probability,
-                         "fidelity": r.fidelity_with_input} for r in paths], index)
+    shots = ShotRows([{"outcome": r.outcome.value, "probability": r.probability,
+                       "fidelity": r.fidelity_with_input} for r in paths], index.tolist())
     worst_fid = min([1.0] + [r.fidelity_with_input for r in paths])
     worst_dev = max([0.0] + [r.shadow_deviation for r in paths])
     results = {"shots": shots, "min_fidelity": worst_fid}
@@ -135,9 +156,9 @@ def _cmd_teleport(args, rng):
 def _cmd_swap(args, rng):
     mapping = swap_outcome_map()
     paths, index = swap_shots(args.shots, rng, mapping)
-    shots = _shot_rows([{"outcome": r.outcome.value,
-                         "remote_kind": r.predicted_remote_kind.value,
-                         "fidelity": r.fidelity_with_prediction} for r in paths], index)
+    shots = ShotRows([{"outcome": r.outcome.value,
+                       "remote_kind": r.predicted_remote_kind.value,
+                       "fidelity": r.fidelity_with_prediction} for r in paths], index.tolist())
     counts = {k.value: 0 for k in BellKind}
     for r, n in zip(paths, np.bincount(index).tolist()):
         counts[r.outcome.value] = n

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .register import check_dual, mirror_deviation, normalized
+from .register import check_dual, mirror_deviation, normalized, scaled
 
 @dataclass(frozen=True)
 class ModeGrid:
@@ -109,7 +109,10 @@ class DualFockState:
         return self.primary.get(tuple(occ), 0j)
 
     def norm(self):
-        return float(np.sqrt(sum(abs(a) ** 2 for a in self.primary.values())))
+        if self.is_zero:
+            return 0.0
+        vec, exponent = scaled(list(self.primary.values()))
+        return float(np.ldexp(np.linalg.norm(vec), exponent))
 
     def mirror_deviation(self):
         return mirror_deviation(*self._aligned())

@@ -125,13 +125,18 @@ class DualRegister:
         return mirror_deviation(self.primary, self.shadow)
 
 
-def normalized(values, norm, what):
-    """`values` as a complex array divided by `norm` of it.  An exact power-of-two
-    scale comes first, so the norms of tiny or huge values neither underflow
-    nor overflow."""
+def scaled(values):
+    """(`values` * 2**-e as a complex array, e), with e the binary exponent of
+    the largest magnitude: an exact scale after which norms of tiny or huge
+    values neither underflow nor overflow."""
     vec = np.asarray(values, dtype=complex)
     exponent = np.frexp(np.max(np.abs(vec)))[1]
-    vec = np.ldexp(np.ascontiguousarray(vec).view(float), -exponent).view(complex)
+    return np.ldexp(np.ascontiguousarray(vec).view(float), -exponent).view(complex), exponent
+
+
+def normalized(values, norm, what):
+    """`values` as a complex array divided by `norm` of it, scaled first."""
+    vec, _ = scaled(values)
     n = norm(vec)
     if not 0.0 < n < np.inf:
         raise ValueError(f"cannot normalize {what} of norm {n}: zero or non-finite")

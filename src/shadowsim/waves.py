@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurement import sample_outcome
-from .register import check_dual, mirror_deviation, normalized
+from .register import InvariantViolation, check_dual, mirror_deviation, normalized
 
 # this module, through which the solver reaches its lazily loaded scipy names
 _this = sys.modules[__name__]
@@ -187,11 +187,12 @@ def evolve(grid, v, dt, steps, boundary="periodic"):
     back = (eye - half_step).tocsc()
     # columns: primary and shadow, advanced by one solve per step
     psi = np.stack((grid.psi_primary, grid.psi_shadow), axis=1)
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         psi = forward.solve(back @ psi)
         if not np.all(np.isfinite(psi)):
-            raise FloatingPointError(
-                f"evolution produced non-finite amplitudes at t={grid.t} (dt={dt})"
+            raise InvariantViolation(
+                f"waves: finiteness broken: non-finite amplitudes at "
+                f"t={grid.t + step * dt:g} (dt={dt:g})"
             )
     return WaveGrid(grid.x_min, grid.x_max, psi[:, 0], psi[:, 1],
                     t=grid.t + steps * dt, mass=grid.mass)

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
-from shadowsim.cli import _merged_cell_starts, _merged_chisquare, run, to_csv, to_json
+from shadowsim.cli import (
+    ShotRows,
+    _merged_cell_starts,
+    _merged_chisquare,
+    run,
+    to_csv,
+    to_json,
+)
 
 
 def invoke(argv, tmp_path, name="out.json"):
@@ -42,6 +49,37 @@ def test_csv_header_and_rows():
     lines = text.splitlines()
     assert lines[0] == "a,b"
     assert lines[1] == "1,0.5"
+
+
+# the cells a shot row may hold, with the floats whose text is easiest to get wrong
+CELL = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([-0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308]),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.text(max_size=8),
+    st.complex_numbers(allow_nan=False),
+)
+
+
+@st.composite
+def shot_tables(draw):
+    names = draw(st.lists(st.text(min_size=1, max_size=6).filter(lambda k: k != "shot"),
+                          unique=True, max_size=4))
+    rows = draw(st.lists(st.fixed_dictionaries({k: CELL for k in names}),
+                         min_size=1, max_size=4))
+    index = draw(st.lists(st.integers(0, len(rows) - 1), max_size=40))
+    return names, ShotRows(rows, index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shot_tables(), st.integers(0, 3))
+def test_shot_rows_write_as_the_generic_writer_of_their_expansion(table, indent):
+    names, shots = table
+    rows = list(shots)
+    assert rows == [{"shot": s, **shots.rows[i]} for s, i in enumerate(shots.index)]
+    assert to_json(shots, indent) == to_json(rows, indent)
+    assert to_json({"shots": shots}, indent) == to_json({"shots": rows}, indent)
+    assert to_csv(["shot"] + names, shots) == to_csv(["shot"] + names, rows)
 
 
 # --- determinism -----------------------------------------------------------------
@@ -189,6 +227,18 @@ def test_broken_invariant_exits_1_with_one_line(dt, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("shadowsim evolve: invariant violation: waves: norm residual")
     assert err.endswith(" > tolerance 1e-08\n")
+
+
+def test_non_finite_evolution_exits_1_with_one_line(capsys):
+    # on a 64-point grid 1e-150 wide the solve overflows to non-finite
+    # amplitudes: a broken invariant, reported as one line, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        run(["evolve", "--xmin=0", "--xmax=1e-150", "--points", "64", "--steps", "2"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err == ("shadowsim evolve: invariant violation: waves: finiteness broken: "
+                   "non-finite amplitudes at t=0.002 (dt=0.002)\n")
 
 
 def test_non_finite_alpha_exits_2_from_the_shell():

@@ -136,6 +136,15 @@ def test_tiny_and_huge_amplitudes_normalize(scale):
         assert got.mirror_deviation() == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_tiny_and_huge_amplitudes_have_their_norm(scale):
+    # squared in Python, 1e-200 gave norm 0.0 and 1e200 raised OverflowError
+    prim = {(1, 0): 3.0 * scale + 0j, (0, 2): 4j * scale}
+    state = DualFockState(boson_grid(), prim, dict(prim))
+    assert state.norm() == pytest.approx(5.0 * scale, rel=1e-15)
+    assert apply_b(vacuum(boson_grid()), 0).norm() == 0.0
+
+
 def test_zero_vector_cannot_be_normalized():
     with pytest.raises(ValueError, match="zero vector"):
         apply_b(vacuum(boson_grid()), 0).normalized()

@@ -28,6 +28,9 @@ CASES = {
                          "--beta=-0.5+0.7i", "--resource", "psi-plus"],
     "teleport-csv": ["teleport", "--shots", "10", "--format", "csv"],
     "swap": ["swap", "--shots", "50"],
+    # digests taken at commit b5e8e5bafe9522b7ca69a04b005214125686db1c, where
+    # every shot row still went through the generic CSV writer
+    "swap-csv": ["swap", "--shots", "50", "--format", "csv"],
     "bell": ["bell"],
     "readout": ["readout", "--shots", "200"],
     "readout-default": ["readout"],
@@ -92,6 +95,8 @@ DIGESTS = {
     "readout-default/2": "068136397db04727a5d0b3ea6eb690d2551d85a229db94fade26f39c4d665c3e",
     "swap/1": "5b559aa73b20d6f6450628a8aa98f97f091eda2c4e6bfda4cfbea84a138827bd",
     "swap/2": "603e5a7ad238c77098b0fb7fb322c05227758f02786ae1d055641adc53e47d36",
+    "swap-csv/1": "5b172a7be0e1250e3f655bd57abbc1669a47915cf8ab359c90d721be5565bbfc",
+    "swap-csv/2": "34825472889187687ef1f710a904c81d6f6bdca57d7def92419ab0872831053e",
     "teleport/1": "d8b8ca3392e4cd189379568066a7e038a3eccfae91e0811adbd0f02cf6940ca1",
     "teleport/2": "b6e4e6f106297520fe655363b03764b7ef73d2a771070e02905ed92ea98c7645",
     "teleport-csv/1": "1f0c9e083d42d4294a14429927fc6c75e55e97fe1fb94c65f28b88194356deb3",
