@@ -239,19 +239,11 @@ def _cmd_product(args, rng):
 
 
 def _cmd_algebra(args, rng):
-    if args.statistics == "fermion":
-        grid = fock.ModeGrid(tuple(range(args.modes)), 1, "fermion")
-        residual_fn = fock.anticommutator_residual
-    else:
-        grid = fock.ModeGrid(tuple(range(args.modes)), args.nmax, "boson")
-        residual_fn = fock.commutator_residual
-    rows, worst = [], 0.0
-    for i in range(args.modes):
-        for j in range(args.modes):
-            for pair_kind, ann in (("mixed", False), ("annihilation", True)):
-                r = residual_fn(grid, i, j, annihilation_pair=ann)
-                worst = max(worst, r)
-                rows.append({"i": i, "j": j, "pair": pair_kind, "residual": r})
+    nmax = 1 if args.statistics == "fermion" else args.nmax
+    grid = fock.ModeGrid(tuple(range(args.modes)), nmax, args.statistics)
+    rows = [{"i": i, "j": j, "pair": pair, "residual": r}
+            for i, j, pair, r in fock.bracket_residuals(grid)]
+    worst = max(row["residual"] for row in rows)
     results = {
         "statistics": args.statistics,
         "modes": args.modes,
@@ -504,6 +496,10 @@ _DISPATCH = {
     "erratum": _cmd_erratum,
 }
 
+# the subcommands that draw from the seeded generator; the others never build
+# it, so they do not load numpy.random
+_SAMPLED = frozenset({"teleport", "swap", "readout", "product", "collapse", "doubleslit"})
+
 
 def _config_echo(args):
     skip = {"format", "output"}
@@ -529,7 +525,7 @@ def run(argv=None):
         parser.error("--shots must be >= 1")
     if args.seed < 0 or args.seed >= 2 ** 64:
         parser.error("--seed must be a 64-bit unsigned integer")
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(args.seed) if args.subcommand in _SAMPLED else None
     try:
         results, invariants, errata, fieldnames, rows = _DISPATCH[args.subcommand](
             args, rng
@@ -538,6 +534,8 @@ def run(argv=None):
         parser.exit(1, f"{parser.prog} {args.subcommand}: invariant violation: {exc}\n")
     except (ValueError, IndexError) as exc:
         parser.exit(2, f"{parser.prog} {args.subcommand}: error: {exc}\n")
+    except MemoryError as exc:
+        parser.exit(2, f"{parser.prog} {args.subcommand}: error: out of memory: {exc}\n")
     doc = {
         "config": _config_echo(args),
         "results": results,

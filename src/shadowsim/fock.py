@@ -14,6 +14,8 @@ by index gathers, merge each column's at most three candidates on equal rows,
 keep the guarded sector (a boolean mask of the states the cutoff cannot
 touch) and report sqrt(||A||_1 ||A||_inf), which is the spectral norm of
 these residual blocks (one entry per row and column at most) and bounds it.
+``bracket_residuals`` gives every mode pair's residuals of a grid from one
+mask and one lowering and one raising map per mode.
 """
 
 from __future__ import annotations
@@ -201,17 +203,18 @@ def apply_b(state, mode, normalize=False):
     return _apply_ladder(state, mode, -1, normalize)
 
 
-def _ladder_map(grid, mode, delta):
-    """Column map (rows, factors) of the ladder operator `delta` on `mode`:
-    basis column c goes to row rows[c], or nowhere when rows[c] is -1."""
-    hit, factor = _ladder(grid, _digits(grid), mode, delta)
+def _ladder_map(grid, digits, mode, delta):
+    """Column map (rows, factors) of the ladder operator `delta` on `mode`,
+    from the basis digits: column c goes to row rows[c], or nowhere when
+    rows[c] is -1."""
+    hit, factor = _ladder(grid, digits, mode, delta)
     rows = np.arange(grid.dim) + delta * _place_values(grid)[mode]
     return np.where(hit, rows, -1), np.where(hit, factor, 0.0)
 
 
 def annihilation_matrix(grid, mode):
     """Dense matrix of the combined operator b_mode on the truncated space."""
-    rows, factors = _ladder_map(grid, mode, -1)
+    rows, factors = _ladder_map(grid, _digits(grid), mode, -1)
     cols = np.flatnonzero(rows >= 0)
     mat = np.zeros((grid.dim, grid.dim), dtype=complex)
     mat[rows[cols], cols] = factors[cols]
@@ -238,6 +241,7 @@ def guarded_sector_projector(grid):
 
 
 _BRACKETS = {"boson": "commutator", "fermion": "anticommutator"}
+_SIGNS = {"boson": -1, "fermion": 1}
 
 
 def _compose(outer, inner):
@@ -246,22 +250,17 @@ def _compose(outer, inner):
     return np.where(mid >= 0, outer[0][mid], -1), outer[1][mid] * factors
 
 
-def _bracket_residual(grid, i, j, annihilation_pair, statistics, sign):
-    """Norm of b_i X + sign X b_i - delta_ij I on the guarded sector, with
-    X = b_j^dag, or X = b_j (and no delta term) with `annihilation_pair`.
-    The continuum delta is realized as a Kronecker delta with unit mode volume.
+def _bracket_residual(grid, bi, x, delta_ij, keep, sign):
+    """Norm of b_i X + sign X b_i - delta_ij I on the guarded sector `keep`,
+    from the column maps `bi` of b_i and `x` of X.  The continuum delta is
+    realized as a Kronecker delta with unit mode volume.
 
     The norm is sqrt(||A||_1 ||A||_inf) of the residual block A (0.0 when A is
     empty): an upper bound on the spectral norm, equal to it here because
     every row and column of A holds at most one entry."""
-    if grid.statistics != statistics:
-        raise ValueError(f"{_BRACKETS[statistics]} check requires {statistics}s; "
-                         f"use {_BRACKETS[grid.statistics]}_residual")
-    bi = _ladder_map(grid, i, -1)
-    x = _ladder_map(grid, j, -1 if annihilation_pair else 1)
     (r1, t1), (r2, t2) = _compose(bi, x), _compose(x, bi)
     cols = np.arange(grid.dim)
-    r3 = cols if i == j and not annihilation_pair else np.full(grid.dim, -1)
+    r3 = cols if delta_ij else np.full(grid.dim, -1)
     # each map holds one entry per column, so a column's candidates sit on rows
     # r1, r2 and r3; equal rows merge into the first, summed in the order of
     # the dense sum (t1 + sign t2) - I
@@ -271,7 +270,6 @@ def _bracket_residual(grid, i, j, annihilation_pair, statistics, sign):
                            np.where((r3 == r1) | (r3 == r2), -1, r3)])
     vals = np.concatenate([v1, v2, np.full(grid.dim, -1.0)])
     cols = np.tile(cols, 3)
-    keep = guarded_sector_projector(grid)
     inside = (rows >= 0) & keep[rows] & keep[cols]
     mags = np.abs(vals[inside])
     col_sum = np.bincount(cols[inside], mags, minlength=1).max()
@@ -279,16 +277,48 @@ def _bracket_residual(grid, i, j, annihilation_pair, statistics, sign):
     return float(np.sqrt(col_sum * row_sum))
 
 
+def _pair_residual(grid, i, j, annihilation_pair, statistics):
+    """The bracket residual of one mode pair, X = b_j^dag, or X = b_j with
+    `annihilation_pair`, from the two maps it needs."""
+    if grid.statistics != statistics:
+        raise ValueError(f"{_BRACKETS[statistics]} check requires {statistics}s; "
+                         f"use {_BRACKETS[grid.statistics]}_residual")
+    digits = _digits(grid)
+    bi = _ladder_map(grid, digits, i, -1)
+    x = _ladder_map(grid, digits, j, -1 if annihilation_pair else 1)
+    return _bracket_residual(grid, bi, x, i == j and not annihilation_pair,
+                             guarded_sector_projector(grid), _SIGNS[statistics])
+
+
 def commutator_residual(grid, i, j, annihilation_pair=False):
     """Norm of [b_i, b_j^dag] - delta_ij I, or of [b_i, b_j] with
     `annihilation_pair`, on the guarded sector of a boson grid."""
-    return _bracket_residual(grid, i, j, annihilation_pair, "boson", -1)
+    return _pair_residual(grid, i, j, annihilation_pair, "boson")
 
 
 def anticommutator_residual(grid, i, j, annihilation_pair=False):
     """Norm of {b_i, b_j^dag} - delta_ij I, or of {b_i, b_j} with
     `annihilation_pair`, on the full space of a fermion grid."""
-    return _bracket_residual(grid, i, j, annihilation_pair, "fermion", 1)
+    return _pair_residual(grid, i, j, annihilation_pair, "fermion")
+
+
+def bracket_residuals(grid):
+    """Every residual of the grid's bracket, the commutator for bosons and
+    the anticommutator for fermions, as (i, j, pair, residual) for each mode
+    i, each mode j, and pair "mixed" (X = b_j^dag), then "annihilation"
+    (X = b_j): equal to the per-pair functions, with the mask and the
+    lowering and raising maps of every mode built once."""
+    keep = guarded_sector_projector(grid)
+    digits = _digits(grid)
+    modes = range(grid.mode_count)
+    lower = [_ladder_map(grid, digits, m, -1) for m in modes]
+    upper = [_ladder_map(grid, digits, m, 1) for m in modes]
+    del digits
+    sign = _SIGNS[grid.statistics]
+    return [(i, j, pair, _bracket_residual(grid, lower[i], x[j], i == j and pair == "mixed",
+                                           keep, sign))
+            for i in modes for j in modes
+            for pair, x in (("mixed", upper), ("annihilation", lower))]
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,11 @@ def test_non_finite_alpha_exits_2_with_one_line(alpha, capsys):
     ["evolve", "--sigma", "1e300"],
     ["evolve", "--xmin=0", "--xmax=1e-320", "--points", "64", "--steps", "2"],
     ["evolve", "--xmin=0", "--xmax=1e-300", "--points", "64", "--steps", "2"],
+    # each fails at once on its first 7.28-TiB allocation
+    ["algebra", "--modes", "12", "--nmax", "9"],
+    ["evolve", "--points", "1000000000000", "--steps", "1"],
+    ["collapse", "--points", "1000000000000"],
+    ["doubleslit", "--bins", "1000000000000"],
 ])
 def test_degenerate_inputs_exit_2_with_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -367,8 +372,10 @@ def test_bad_grid_inputs_exit_2_with_one_line(argv, capsys):
 IMPORT_PATH = """
 import os, sys
 from shadowsim import cli
-for argv in (["algebra"], ["erratum"], ["bell"], ["teleport"]):
+for argv in (["algebra"], ["erratum"], ["bell"]):
     cli.run(argv + ["--output", os.devnull])
+assert "numpy.random" not in sys.modules
+cli.run(["teleport", "--output", os.devnull])
 print(",".join(m for m in sys.modules if m.startswith("scipy")))
 cli.run(["collapse", "--output", os.devnull])
 print(",".join(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.sparse"))))

@@ -15,6 +15,7 @@ from shadowsim.fock import (
     apply_b,
     apply_b_dagger,
     anticommutator_residual,
+    bracket_residuals,
     commutator_residual,
     position_amplitudes,
     position_create,
@@ -333,12 +334,21 @@ def test_residuals_equal_dense_oracle_spectral_norm(grid, annihilation_pair):
         residual_fn, sign = commutator_residual, -1
     else:
         residual_fn, sign = anticommutator_residual, 1
+    pair = "annihilation" if annihilation_pair else "mixed"
+    # the request-level residuals, in the document's order, hold to the same
+    # oracle and equal the per-pair function's exactly
+    batch = bracket_residuals(grid)
+    assert [row[:3] for row in batch] == [
+        (i, j, p) for i in range(grid.mode_count) for j in range(grid.mode_count)
+        for p in ("mixed", "annihilation")]
+    batch = {row[:3]: row[3] for row in batch}
     for i in range(grid.mode_count):
         for j in range(grid.mode_count):
             expected = oracle_residual(grid, i, j, annihilation_pair, sign)
             got = residual_fn(grid, i, j, annihilation_pair=annihilation_pair)
             assert got >= expected
             assert got == expected, (i, j)
+            assert batch[i, j, pair] == got == expected, (i, j)
 
 
 # --- position-state creation --------------------------------------------------
