@@ -12,6 +12,8 @@ Schroedinger wave dynamics with zone-partition collapse, and a deterministic
 CLI.
 """
 
+from types import ModuleType as _ModuleType
+
 from .fock import (
     ModeGrid,
     DualFockState,
@@ -92,76 +94,9 @@ from .waves import (
 )
 from .errata import build_erratum_report
 
-__all__ = [
-    "ModeGrid",
-    "DualFockState",
-    "DispersionParams",
-    "vacuum",
-    "apply_b",
-    "apply_b_dagger",
-    "annihilation_matrix",
-    "creation_matrix",
-    "commutator_residual",
-    "anticommutator_residual",
-    "position_create",
-    "BellKind",
-    "DualRegister",
-    "from_amplitudes",
-    "bell_pair",
-    "tensor",
-    "apply_unitary",
-    "fidelity",
-    "PAULI_I",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "HADAMARD",
-    "MeasurementRecord",
-    "Z_BASIS",
-    "X_BASIS",
-    "born_probabilities",
-    "projective_measure",
-    "bell_outcome_probabilities",
-    "bell_measure",
-    "measure_shots",
-    "DecompositionReport",
-    "TeleportationResult",
-    "SwapResult",
-    "ReadoutStats",
-    "ProductStateStats",
-    "bell_branches",
-    "reassemble_branches",
-    "derive_decomposition",
-    "teleport_input_state",
-    "teleport_decomposition",
-    "swap_input_state",
-    "swap_decomposition",
-    "derive_correction_table",
-    "run_teleportation",
-    "teleportation_shots",
-    "swap_outcome_map",
-    "run_entanglement_swap",
-    "swap_shots",
-    "entangled_readout_demo",
-    "product_plus_state",
-    "product_state_demo",
-    "WaveGrid",
-    "Potential",
-    "ZonePartition",
-    "SlitGeometry",
-    "DoubleSlitResult",
-    "gaussian_packet",
-    "from_samples",
-    "evolve",
-    "free_propagate",
-    "zone_coefficients",
-    "zone_profile",
-    "collapse_to",
-    "collapse_detect",
-    "analytic_screen_intensity",
-    "fringe_visibility",
-    "double_slit_accumulate",
-    "build_erratum_report",
-]
+# every name imported above, in import order; the submodules the imports bind
+# as attributes of the package are not exports
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 
 __version__ = "0.1.0"

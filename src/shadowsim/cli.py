@@ -126,15 +126,21 @@ def _invariant(residual, tol):
     return {"ok": bool(residual <= tol), "residual": float(residual), "tolerance": tol}
 
 
+# the imaginary unit "i": the last letter, maybe before a closing parenthesis;
+# the "i" of "inf" and "infinity" is not a unit
+_IMAGINARY_UNIT = re.compile(r"i(?=\s*\)?\s*$)")
+
+
 def _parse_complex(text):
     try:
-        return complex(text.replace("i", "j"))
+        return complex(_IMAGINARY_UNIT.sub("j", text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (results, invariants, errata, fieldnames, rows)
+# subcommands: each returns (results, invariants, errata, rows); the first row's
+# keys are the CSV columns
 
 
 def _cmd_teleport(args, rng):
@@ -150,7 +156,7 @@ def _cmd_teleport(args, rng):
         "teleportation_fidelity": _invariant(1.0 - worst_fid, 1e-10),
         "mirror": _invariant(worst_dev, TOLERANCES["register"]["mirror"]),
     }
-    return results, invariants, [], ["shot", "outcome", "probability", "fidelity"], shots
+    return results, invariants, [], shots
 
 
 def _cmd_swap(args, rng):
@@ -177,7 +183,7 @@ def _cmd_swap(args, rng):
         "outcome_frequencies": _invariant(freq_dev, 3.0 * sigma),
         "mirror": _invariant(worst_dev, TOLERANCES["register"]["mirror"]),
     }
-    return results, invariants, [], ["shot", "outcome", "remote_kind", "fidelity"], shots
+    return results, invariants, [], shots
 
 
 def _cmd_bell(args, rng):
@@ -195,7 +201,7 @@ def _cmd_bell(args, rng):
         "gram_residual": gram_residual,
     }
     invariants = {"orthonormal_basis": _invariant(gram_residual, 1e-12)}
-    return results, invariants, [], ["kind", "basis_index", "re", "im"], rows
+    return results, invariants, [], rows
 
 
 def _cmd_readout(args, rng):
@@ -213,7 +219,7 @@ def _cmd_readout(args, rng):
         "remote_via_shadow": _invariant(1.0 - stats_r.min_remote_fidelity, 1e-10),
     }
     rows = [{"pattern": k, "count": v} for k, v in sorted(counts.items())]
-    return results, invariants, [], ["pattern", "count"], rows
+    return results, invariants, [], rows
 
 
 def _cmd_product(args, rng):
@@ -235,7 +241,7 @@ def _cmd_product(args, rng):
         "remote_unchanged": _invariant(1.0 - st.min_remote_fidelity, 1e-10),
     }
     rows = [{"basis": "z", "tvd": st.tvd_z}, {"basis": "x", "tvd": st.tvd_x}]
-    return results, invariants, [], ["basis", "tvd"], rows
+    return results, invariants, [], rows
 
 
 def _cmd_algebra(args, rng):
@@ -252,7 +258,7 @@ def _cmd_algebra(args, rng):
         "max_residual": worst,
     }
     invariants = {"algebra_residuals": _invariant(worst, 1e-12)}
-    return results, invariants, [], ["i", "j", "pair", "residual"], rows
+    return results, invariants, [], rows
 
 
 def _cmd_evolve(args, rng):
@@ -284,7 +290,7 @@ def _cmd_evolve(args, rng):
         results["analytic_width"] = float(sigma_t)
         invariants["width_match"] = _invariant(abs(width - sigma_t) / sigma_t, 0.01)
     rows = [{"quantity": k, "value": float(v)} for k, v in results.items()]
-    return results, invariants, [], ["quantity", "value"], rows
+    return results, invariants, [], rows
 
 
 def _merged_cell_starts(expected):
@@ -353,7 +359,7 @@ def _cmd_collapse(args, rng):
     }
     rows = [{"zone": i, "probability": float(probs[i]), "count": int(counts[i])}
             for i in range(args.zones)]
-    return results, invariants, [], ["zone", "probability", "count"], rows
+    return results, invariants, [], rows
 
 
 def _cmd_doubleslit(args, rng):
@@ -379,7 +385,7 @@ def _cmd_doubleslit(args, rng):
     rows = [{"bin": i, "left_edge": float(res.bin_edges[i]),
              "count": int(res.counts[i]), "expected": float(res.expected[i])}
             for i in range(args.bins)]
-    return results, invariants, [], ["bin", "left_edge", "count", "expected"], rows
+    return results, invariants, [], rows
 
 
 def _cmd_erratum(args, rng):
@@ -392,7 +398,7 @@ def _cmd_erratum(args, rng):
             for f in report["findings"]]
     return {"finding_count": report["finding_count"],
             "erratum_count": report["erratum_count"]}, \
-        invariants, report["findings"], ["id", "residual", "verdict"], rows
+        invariants, report["findings"], rows
 
 
 # ---------------------------------------------------------------------------
@@ -414,46 +420,49 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
+# name -> (handler, help text, default --shots, draws from the seeded
+# generator); the ones that do not draw never build it, so they do not load
+# numpy.random.  The order is the order of `shadowsim --help`.
+SUBCOMMANDS = {
+    "teleport": (_cmd_teleport, "teleportation round trips", 100, True),
+    "swap": (_cmd_swap, "entanglement swapping rounds", 1000, True),
+    "bell": (_cmd_bell, "Bell basis states and orthonormality", 1, False),
+    "readout": (_cmd_readout, "entangled readout correlation", 10000, True),
+    "product": (_cmd_product, "product-state no-signalling check", 10000, True),
+    "algebra": (_cmd_algebra, "ladder operator algebra residuals", 1, False),
+    "evolve": (_cmd_evolve, "Schroedinger evolution of a packet", 1, False),
+    "collapse": (_cmd_collapse, "zone-partition collapse statistics", 10000, True),
+    "doubleslit": (_cmd_doubleslit, "single-detection fringe build-up", 10000, True),
+    "erratum": (_cmd_erratum, "printed identities vs oracle expansion", 1, False),
+}
+
+
 def build_parser():
     parser = _Parser(
         prog="shadowsim",
         description="dual-register (shadow) quantum simulator demonstrations",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, shots=1000):
+    subparsers = {}
+    for name, (_, help_text, shots, _) in SUBCOMMANDS.items():
+        p = subparsers[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--shots", type=int, default=shots)
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--output", default=None)
 
-    p = sub.add_parser("teleport", help="teleportation round trips")
-    common(p, shots=100)
+    p = subparsers["teleport"]
     p.add_argument("--alpha", type=_parse_complex, default=complex(0.6))
     p.add_argument("--beta", type=_parse_complex, default=0.8j)
     p.add_argument("--resource", choices=sorted(RESOURCE_NAMES),
                    default=BellKind.PHI_MINUS.value)
 
-    p = sub.add_parser("swap", help="entanglement swapping rounds")
-    common(p, shots=1000)
-
-    p = sub.add_parser("bell", help="Bell basis states and orthonormality")
-    common(p, shots=1)
-
-    p = sub.add_parser("readout", help="entangled readout correlation")
-    common(p, shots=10000)
-
-    p = sub.add_parser("product", help="product-state no-signalling check")
-    common(p, shots=10000)
-
-    p = sub.add_parser("algebra", help="ladder operator algebra residuals")
-    common(p, shots=1)
+    p = subparsers["algebra"]
     p.add_argument("--modes", type=int, default=3)
     p.add_argument("--nmax", type=int, default=4)
     p.add_argument("--statistics", choices=["boson", "fermion"], default="boson")
 
-    p = sub.add_parser("evolve", help="Schroedinger evolution of a packet")
-    common(p, shots=1)
+    p = subparsers["evolve"]
     p.add_argument("--points", type=int, default=1024)
     p.add_argument("--xmin", type=float, default=-20.0)
     p.add_argument("--xmax", type=float, default=20.0)
@@ -464,41 +473,18 @@ def build_parser():
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--potential", choices=["free", "harmonic"], default="free")
 
-    p = sub.add_parser("collapse", help="zone-partition collapse statistics")
-    common(p, shots=10000)
+    p = subparsers["collapse"]
     p.add_argument("--points", type=int, default=512)
     p.add_argument("--zones", type=int, default=4)
 
-    p = sub.add_parser("doubleslit", help="single-detection fringe build-up")
-    common(p, shots=10000)
+    p = subparsers["doubleslit"]
     p.add_argument("--separation", type=float, default=5.0)
     p.add_argument("--width", type=float, default=0.1)
     p.add_argument("--distance", type=float, default=100.0)
     p.add_argument("--wavelength", type=float, default=0.05)
     p.add_argument("--bins", type=int, default=64)
     p.add_argument("--single-slit", action="store_true")
-
-    p = sub.add_parser("erratum", help="printed identities vs oracle expansion")
-    common(p, shots=1)
     return parser
-
-
-_DISPATCH = {
-    "teleport": _cmd_teleport,
-    "swap": _cmd_swap,
-    "bell": _cmd_bell,
-    "readout": _cmd_readout,
-    "product": _cmd_product,
-    "algebra": _cmd_algebra,
-    "evolve": _cmd_evolve,
-    "collapse": _cmd_collapse,
-    "doubleslit": _cmd_doubleslit,
-    "erratum": _cmd_erratum,
-}
-
-# the subcommands that draw from the seeded generator; the others never build
-# it, so they do not load numpy.random
-_SAMPLED = frozenset({"teleport", "swap", "readout", "product", "collapse", "doubleslit"})
 
 
 def _config_echo(args):
@@ -525,17 +511,17 @@ def run(argv=None):
         parser.error("--shots must be >= 1")
     if args.seed < 0 or args.seed >= 2 ** 64:
         parser.error("--seed must be a 64-bit unsigned integer")
-    rng = np.random.default_rng(args.seed) if args.subcommand in _SAMPLED else None
+    handler, _, _, sampled = SUBCOMMANDS[args.subcommand]
+    rng = np.random.default_rng(args.seed) if sampled else None
+    where = f"{parser.prog} {args.subcommand}"
     try:
-        results, invariants, errata, fieldnames, rows = _DISPATCH[args.subcommand](
-            args, rng
-        )
+        results, invariants, errata, rows = handler(args, rng)
     except InvariantViolation as exc:
-        parser.exit(1, f"{parser.prog} {args.subcommand}: invariant violation: {exc}\n")
+        parser.exit(1, f"{where}: invariant violation: {exc}\n")
     except (ValueError, IndexError) as exc:
-        parser.exit(2, f"{parser.prog} {args.subcommand}: error: {exc}\n")
+        parser.exit(2, f"{where}: error: {exc}\n")
     except MemoryError as exc:
-        parser.exit(2, f"{parser.prog} {args.subcommand}: error: out of memory: {exc}\n")
+        parser.exit(2, f"{where}: error: out of memory: {exc}\n")
     doc = {
         "config": _config_echo(args),
         "results": results,
@@ -543,12 +529,15 @@ def run(argv=None):
         "errata": errata,
     }
     if args.format == "csv":
-        text = to_csv(fieldnames, rows)
+        text = to_csv(list(next(iter(rows))), rows)
     else:
         text = to_json(doc) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.exit(2, f"{where}: error: cannot write {args.output}: {exc.strerror}\n")
     else:
         sys.stdout.write(text)
     return 0 if all(v["ok"] for v in invariants.values()) else 1

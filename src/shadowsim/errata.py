@@ -11,16 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .fock import single_mode_lowering
-from .protocols import swap_decomposition, teleport_decomposition
+from .protocols import swap_decomposition, teleport_decomposition, verdict
 from .register import BellKind
 from .waves import ZonePartition, gaussian_packet, zone_coefficients, zone_profile
-
-MATCH_TOL = 1e-12
-
-
-def _verdict(residual):
-    return "match" if residual < MATCH_TOL else "erratum"
-
 
 def _pair_prefactor_finding():
     printed = np.sqrt(2.0) * np.array([1, 0, 0, 1], dtype=complex)
@@ -33,7 +26,7 @@ def _pair_prefactor_finding():
         "printed_norm": printed_norm,
         "implemented_norm": float(np.linalg.norm(implemented)),
         "residual": abs(printed_norm - 1.0),
-        "verdict": _verdict(abs(printed_norm - 1.0)),
+        "verdict": verdict(abs(printed_norm - 1.0)),
     }
 
 
@@ -49,7 +42,7 @@ def _resource_mismatch_finding():
         "distance_to_declared_kind": dist_declared,
         "distance_to_phi_minus": dist_phi_minus,
         "residual": dist_declared,
-        "verdict": _verdict(dist_declared),
+        "verdict": verdict(dist_declared),
     }
 
 
@@ -81,7 +74,7 @@ def _ladder_factor_finding():
         "double_application": double,
         "residual": abs(double - oracle),
         "single_application_residual": abs(single - oracle),
-        "verdict": _verdict(abs(double - oracle)),
+        "verdict": verdict(abs(double - oracle)),
     }
 
 
@@ -102,7 +95,7 @@ def _zone_expansion_finding():
         "residual_without_coefficients": res_without,
         "residual_with_coefficients": res_with,
         "residual": res_without,
-        "verdict": _verdict(res_without),
+        "verdict": verdict(res_without),
     }
 
 

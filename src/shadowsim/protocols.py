@@ -41,6 +41,12 @@ from .register import (
 BRANCH_TOL = 1e-12
 
 
+def verdict(residual):
+    """The verdict on a printed form whose residual against its oracle is
+    `residual`: "match" below BRANCH_TOL, else "erratum"."""
+    return "match" if residual < BRANCH_TOL else "erratum"
+
+
 def phase_invariant_distance(u, v):
     """min over unit phases of ||u - e^{i theta} v||."""
     u = np.asarray(u, dtype=complex)
@@ -88,8 +94,7 @@ def derive_decomposition(state: DualRegister, pair, printed_branches, identity_n
         identity_name=identity_name,
         derived_branches=derived,
         residuals=residuals,
-        verdicts={kind: "match" if r < BRANCH_TOL else "erratum"
-                  for kind, r in residuals.items()},
+        verdicts={kind: verdict(r) for kind, r in residuals.items()},
         reassembly_residual=float(np.linalg.norm(reassembled - state.primary)),
     )
 

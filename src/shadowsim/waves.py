@@ -144,8 +144,9 @@ class Potential:
         return cls(np.zeros(grid.points))
 
     @classmethod
-    def harmonic(cls, grid, omega=1.0):
-        return cls(0.5 * grid.mass * omega ** 2 * grid.x ** 2)
+    def harmonic(cls, grid):
+        """Harmonic well m x^2 / 2 of unit frequency."""
+        return cls(0.5 * grid.mass * grid.x ** 2)
 
 
 def _hamiltonian(grid, v, boundary):
@@ -348,13 +349,17 @@ def fringe_visibility(x, intensity, spacing):
     return (imax - imin) / (imax + imin)
 
 
-def double_slit_accumulate(geometry, shots, bins, rng=None, wavelength=0.05,
-                           slits="both", screen_halfwidth=None, points=8192):
+# cells of the periodic domain the aperture state is propagated on
+SCREEN_POINTS = 8192
+
+
+def double_slit_accumulate(geometry, shots, bins, rng=None, wavelength=0.05, slits="both"):
     """Accumulate single detections of a two-slit (or one-slit) pattern.
 
     The aperture state (one Gaussian per open slit, equal weights) is freely
     propagated to the screen; each shot samples one detection position from
-    the resulting |psi|^2 and the histogram collects them bin by bin.
+    the resulting |psi|^2 and the histogram collects them bin by bin, over
+    three fringe spacings either side of the centre.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -362,24 +367,26 @@ def double_slit_accumulate(geometry, shots, bins, rng=None, wavelength=0.05,
         raise ValueError("bins must be >= 2")
     if not 0.0 < wavelength < np.inf:
         raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
+    # products, not float **, as in gaussian_packet
+    width2 = 4.0 * geometry.width * geometry.width
+    if not 0.0 < width2 < np.inf:
+        raise ValueError(f"slit width must have 4 width^2 finite and > 0: {geometry.width}")
     k0 = 2.0 * np.pi / wavelength
     duration = geometry.distance / k0  # mass-normalized flight time, m = 1
     spacing = wavelength * geometry.distance / geometry.separation
-    if screen_halfwidth is None:
-        screen_halfwidth = 3.0 * spacing
+    screen_halfwidth = 3.0 * spacing
     # domain wide enough that the spread packets stay clear of the wrap-around
     spread = duration / (2.0 * geometry.width)
     half_domain = max(4.0 * screen_halfwidth, 6.0 * spread)
-    x = _cell_centres(-half_domain, half_domain, points)
+    x = _cell_centres(-half_domain, half_domain, SCREEN_POINTS)
     half = geometry.separation / 2.0
-    if slits == "both":
-        psi0 = (np.exp(-((x + half) ** 2) / (4.0 * geometry.width ** 2))
-                + np.exp(-((x - half) ** 2) / (4.0 * geometry.width ** 2)))
-    elif slits in ("left", "right"):
-        x0 = -half if slits == "left" else half
-        psi0 = np.exp(-((x - x0) ** 2) / (4.0 * geometry.width ** 2))
-    else:
+    centres = {"both": (-half, half), "left": (-half,), "right": (half,)}.get(slits)
+    if centres is None:
         raise ValueError(f"unknown slit selection {slits!r}")
+    # a square that overflows gives the exact zero tail, exp(-inf); an aperture
+    # that is zero everywhere fails the normalization
+    with np.errstate(over="ignore"):
+        psi0 = sum(np.exp(-((x - x0) ** 2) / width2) for x0 in centres)
     grid = from_samples(-half_domain, half_domain, psi0)
     screen = free_propagate(grid, duration)
     intensity = np.abs(screen.psi_primary) ** 2

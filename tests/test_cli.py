@@ -12,6 +12,7 @@ from shadowsim.cli import (
     ShotRows,
     _merged_cell_starts,
     _merged_chisquare,
+    _parse_complex,
     run,
     to_csv,
     to_json,
@@ -172,6 +173,18 @@ def test_invalid_flag_value_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_unwritable_output_exits_2_with_one_line(target, tmp_path, capsys):
+    # a path in a directory that does not exist, and a directory
+    path = tmp_path / target
+    with pytest.raises(SystemExit) as exc:
+        run(["bell", "--output", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"shadowsim bell: error: cannot write {path}")
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "shadowsim.cli", "bell", "--seed", "0"],
@@ -181,7 +194,7 @@ def test_module_entrypoint_runs():
     assert doc["invariants"]["orthonormal_basis"]["ok"] is True
 
 
-@pytest.mark.parametrize("alpha", ["nan", "1e400"])
+@pytest.mark.parametrize("alpha", ["nan", "1e400", "inf", "-inf", "infj"])
 def test_non_finite_alpha_exits_2_with_one_line(alpha, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["teleport", "--shots", "2", f"--alpha={alpha}"])
@@ -244,6 +257,14 @@ def test_non_finite_evolution_exits_1_with_one_line(capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err == ("shadowsim evolve: invariant violation: waves: finiteness broken: "
                    "non-finite amplitudes at t=0.002 (dt=0.002)\n")
+
+
+@pytest.mark.parametrize("text,value", [
+    ("0.8i", 0.8j), ("i", 1j), ("-i", -1j), (" -0.5+0.7i ", -0.5 + 0.7j),
+    ("(1-2i)", 1 - 2j), (" ( 1e-3i ) ", 1e-3j), ("2", 2), ("1+2j", 1 + 2j),
+])
+def test_imaginary_unit_reads_as_i_or_j(text, value):
+    assert _parse_complex(text) == value
 
 
 def test_non_finite_alpha_exits_2_from_the_shell():
@@ -354,6 +375,12 @@ def test_negative_infinity_reaches_the_grid_check(capsys):
     ["evolve", "--k0=1e308"],
     ["evolve", "--x0=-inf"],
     ["evolve", "--x0=nan"],
+    # the aperture's squares overflow on a far-field domain this wide
+    ["doubleslit", "--distance", "1e308"],
+    ["doubleslit", "--wavelength", "1e300"],
+    ["doubleslit", "--separation", "1e200", "--distance", "1e300", "--width", "1"],
+    # 4 width^2 is below the smallest float
+    ["doubleslit", "--width", "1e-200"],
 ])
 def test_bad_grid_inputs_exit_2_with_one_line(argv, capsys):
     with warnings.catch_warnings(record=True) as caught:

@@ -1,7 +1,8 @@
 """Golden output digests: every subcommand's document, byte for byte.
 
 Each case runs ``shadowsim.cli.run`` in process, for two seeds, and
-compares the sha256 of the written document with a pinned digest. The cases
+compares the sha256 of the written document with a pinned digest; every
+``--help`` text and the package's export list are pinned likewise. The cases
 are small, except readout, product and collapse, which also run at their
 default 10 000 shots, and the three largest algebra grids (dim 15625, 625
 and 256). A change that keeps every document byte-identical
@@ -18,6 +19,7 @@ import hashlib
 
 import pytest
 
+import shadowsim
 from shadowsim.cli import run
 
 SEEDS = (1, 2)
@@ -52,6 +54,16 @@ CASES = {
     "doubleslit-single": ["doubleslit", "--shots", "500", "--bins", "32",
                           "--single-slit"],
     "erratum": ["erratum"],
+    # CSV digests taken at commit 73e2d628e91eddca8ca54d972f10043bb620a50b,
+    # where each subcommand still spelled out its own column names
+    "bell-csv": ["bell", "--format", "csv"],
+    "readout-csv": ["readout", "--shots", "200", "--format", "csv"],
+    "product-csv": ["product", "--shots", "100", "--format", "csv"],
+    "algebra-csv": ["algebra", "--modes", "2", "--nmax", "3", "--format", "csv"],
+    "evolve-csv": ["evolve", "--points", "256", "--steps", "50", "--format", "csv"],
+    "collapse-csv": ["collapse", "--shots", "300", "--format", "csv"],
+    "doubleslit-csv": ["doubleslit", "--shots", "500", "--bins", "32", "--format", "csv"],
+    "erratum-csv": ["erratum", "--format", "csv"],
 }
 
 DIGESTS = {
@@ -103,7 +115,63 @@ DIGESTS = {
     "teleport-csv/2": "d6c44dcb18fba1757a0a113612613bcf8490d82de18dc29ca86cf87d391fe81f",
     "teleport-generic/1": "a5b9ae5009e144c9523ddd126fc7292f2f3c8a12cd48a9c030bbe2df8c30de3e",
     "teleport-generic/2": "faa1eb4d913e1e4a1c8454ca547549391af1d5916b0a6b5d7c1bbe689bad1a28",
+    "algebra-csv/1": "2e29267e185d2ad834ae66a73abdf972e6afb9cac9dab3b7bebec97c4dc61ed4",
+    "algebra-csv/2": "2e29267e185d2ad834ae66a73abdf972e6afb9cac9dab3b7bebec97c4dc61ed4",
+    "bell-csv/1": "cc49eee140384958e46073d1f465cf9a97dff12c4894b52c958ceaa2ae52f8b1",
+    "bell-csv/2": "cc49eee140384958e46073d1f465cf9a97dff12c4894b52c958ceaa2ae52f8b1",
+    "collapse-csv/1": "c10bbaa323ab9d08558cb8d383ff162f17c9ee69942ecd93b72945dfa63f629f",
+    "collapse-csv/2": "4c743baa126a8d3028ae546fe934c879dedb38288b935958fea7710393c6d79b",
+    "doubleslit-csv/1": "125d6c89dbca910c5ce84f5c6bead96874e9a789f26bdb6909358868608b1e46",
+    "doubleslit-csv/2": "01e036c9c33de8909bd9f336ddda123c3a8c25dae0f06c84e6d51c008cb1d784",
+    "erratum-csv/1": "0c24d0b9cecccc024c7b46d9bd4234a0f1f7ed634fe4dce9b4f4ffa7de2a6b85",
+    "erratum-csv/2": "0c24d0b9cecccc024c7b46d9bd4234a0f1f7ed634fe4dce9b4f4ffa7de2a6b85",
+    "evolve-csv/1": "70966cba0d08046c635dadb6edf35c6386dd20bd0faa35bb09d0ba192d49bce8",
+    "evolve-csv/2": "70966cba0d08046c635dadb6edf35c6386dd20bd0faa35bb09d0ba192d49bce8",
+    "product-csv/1": "4099a84555055be8d45983944b7ceae08cf401f7e76fde5481aa36e7b968ef84",
+    "product-csv/2": "419752b0e418d0063608633e0fe185a93621fd8749baba1b0e09b920fa097ffa",
+    "readout-csv/1": "e978c9225df018dfd19d5d2356a32c965d4feb3d0cd24150d4f86c5d082ca5f2",
+    "readout-csv/2": "3f4e18b5ee37360e9643a7f3fb6e49945efa46a6c4d62a74597e2d9e6f8b00d4",
+
 }
+
+# `shadowsim [SUB] --help` at COLUMNS=80, taken at commit
+# 73e2d628e91eddca8ca54d972f10043bb620a50b; argparse's layout differs
+# between Python versions, so these hold for CPython 3.11
+HELP_DIGESTS = {
+    "": "3388413c97523e1b807927e317e895a3bf99486865f837e7bd97b4ee6098d6bf",
+    "teleport": "845c0404c2544163932bb14cef989b22ce305b13465317c52538aa90f93fe9a2",
+    "swap": "0cce5f032f49dbee62ccdc624c2ef022d8e4e4d9287313dc6e0a6d6abd42fb44",
+    "bell": "f0357ae1cad20d1d74b064b42c97d7250c116ba898a196b1403ffdce2a9a68da",
+    "readout": "eedc6441590b9d781b0415dfafa6f337f015043a61cfa6c6a9b1f742f869ac11",
+    "product": "945ad34256e3363e88fc5c389518a9090bbc86e28601c3a7a506105ca92e1a95",
+    "algebra": "a8d654bca43cb797956b273339dda1d10267b43af939f9af6a28dc035d518566",
+    "evolve": "e996b1b957136d16fc8f3c79220e747497cd9d28b23a9ca250e53688fda88985",
+    "collapse": "a56e6f15669dd4a1341174d0ea20fbbbe32e7282fbd274c0dd98eb97b30ebb77",
+    "doubleslit": "b152b33b324f86f9ed908583864b66152fdd5de4d4f633068ff01186dd03b9f5",
+    "erratum": "c3cff51aa99eb58ce329fc13918d2504366fe333daca2919c8665152e88bd95f",
+}
+
+# the package's exports, in order, as they stood at the same commit
+EXPORTS = [
+    "ModeGrid", "DualFockState", "DispersionParams", "vacuum", "apply_b",
+    "apply_b_dagger", "annihilation_matrix", "creation_matrix",
+    "commutator_residual", "anticommutator_residual", "position_create",
+    "BellKind", "DualRegister", "from_amplitudes", "bell_pair", "tensor",
+    "apply_unitary", "fidelity", "PAULI_I", "PAULI_X", "PAULI_Y", "PAULI_Z",
+    "HADAMARD", "MeasurementRecord", "Z_BASIS", "X_BASIS", "born_probabilities",
+    "projective_measure", "bell_outcome_probabilities", "bell_measure",
+    "measure_shots", "DecompositionReport", "TeleportationResult", "SwapResult",
+    "ReadoutStats", "ProductStateStats", "bell_branches", "reassemble_branches",
+    "derive_decomposition", "teleport_input_state", "teleport_decomposition",
+    "swap_input_state", "swap_decomposition", "derive_correction_table",
+    "run_teleportation", "teleportation_shots", "swap_outcome_map",
+    "run_entanglement_swap", "swap_shots", "entangled_readout_demo",
+    "product_plus_state", "product_state_demo", "WaveGrid", "Potential",
+    "ZonePartition", "SlitGeometry", "DoubleSlitResult", "gaussian_packet",
+    "from_samples", "evolve", "free_propagate", "zone_coefficients",
+    "zone_profile", "collapse_to", "collapse_detect", "analytic_screen_intensity",
+    "fringe_visibility", "double_slit_accumulate", "build_erratum_report",
+]
 
 
 def document_digest(argv, path):
@@ -118,3 +186,18 @@ def test_document_bytes_pinned(name, seed, tmp_path):
     code, digest = document_digest(argv, tmp_path / "doc")
     assert code in (0, 1)
     assert digest == DIGESTS[f"{name}/{seed}"], " ".join(argv)
+
+
+@pytest.mark.parametrize("sub", sorted(HELP_DIGESTS))
+def test_help_text_pinned(sub, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run(([sub] if sub else []) + ["--help"])
+    assert exc.value.code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == HELP_DIGESTS[sub]
+
+
+def test_exports_pinned():
+    assert shadowsim.__all__ == EXPORTS
+    assert all(getattr(shadowsim, name) is not None for name in EXPORTS)
