@@ -48,12 +48,13 @@ def verdict(residual):
 
 
 def phase_invariant_distance(u, v):
-    """min over unit phases of ||u - e^{i theta} v||."""
+    """min over unit phases of ||u - e^{i theta} v||: the norm of the difference at
+    e^{i theta} = <v,u>/|<v,u>| (any phase if 0), accurate to round-off near 0."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    inner = abs(np.vdot(v, u))
-    val = np.vdot(u, u).real + np.vdot(v, v).real - 2.0 * inner
-    return float(np.sqrt(max(val, 0.0)))
+    inner = np.vdot(v, u)
+    phase = inner / abs(inner) if inner != 0 else 1.0
+    return float(np.linalg.norm(u - phase * v))
 
 
 def bell_branches(vec, n, pair):
@@ -119,22 +120,23 @@ PRINTED_SWAP_SIGNS = {
 }
 
 
+def _joined(qubit, resource):
+    """A one-qubit register on qubit 0 joined with a resource pair on (1, 2)."""
+    return tensor(qubit, bell_pair(resource))
+
+
 def teleport_input_state(alpha, beta, resource=BellKind.PHI_MINUS):
     """(alpha|u> + beta|d>) on qubit 0 joined with a resource pair on (1, 2)."""
-    return tensor(from_amplitudes([alpha, beta], 1), bell_pair(resource))
+    return _joined(from_amplitudes([alpha, beta], 1), resource)
 
 
 def teleport_decomposition(alpha, beta):
     """Compare the brute-force Bell expansion of the teleportation state
     against the printed branch table (printed for the phi-minus resource)."""
-    state = teleport_input_state(alpha, beta, BellKind.PHI_MINUS)
-    norm = np.linalg.norm([alpha, beta])
-    a, b = alpha / norm, beta / norm
-    printed = {
-        kind: 0.5 * (m @ np.array([a, b], dtype=complex))
-        for kind, m in PRINTED_TELEPORT_BRANCHES.items()
-    }
-    return derive_decomposition(state, (0, 1), printed, "teleportation-bell-expansion")
+    qubit = from_amplitudes([alpha, beta], 1)
+    printed = {kind: 0.5 * (m @ qubit.primary) for kind, m in PRINTED_TELEPORT_BRANCHES.items()}
+    return derive_decomposition(_joined(qubit, BellKind.PHI_MINUS), (0, 1), printed,
+                                "teleportation-bell-expansion")
 
 
 def swap_input_state():
@@ -157,16 +159,6 @@ def swap_decomposition():
 # correction tables
 
 
-def _branch_matrix(resource, kind):
-    """2x2 matrix M with pre-correction remote branch = M @ (alpha, beta),
-    reconstructed from two linearly independent numeric probes."""
-    probes = np.stack([teleport_input_state(1.0, 0.0, resource).primary,
-                       teleport_input_state(0.6, 0.8j, resource).primary])
-    col0, b1 = _project(probes, 3, (0, 1), kind.amplitudes())
-    # probe (1, 0) reads off the first column directly
-    return np.column_stack([col0, (b1 - 0.6 * col0) / 0.8j])
-
-
 # the phase-extended Pauli group, in search order
 _PAULI_GROUP = [phase * pauli for pauli in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
                 for phase in (1.0, -1.0, 1j, -1j)]
@@ -180,13 +172,16 @@ def derive_correction_table(resource: BellKind, rng=None):
     """Search the phase-extended Pauli group for the unitary undoing each branch:
     {BellKind: 2x2 unitary}.
 
+    Branch M (remote branch M @ (alpha, beta)) has as column c the branch of the
+    basis input |c> joined with the resource, all read off one Bell expansion.
     A candidate is accepted when U @ M is proportional to the identity and the
-    correction is confirmed on a third random probe.
+    correction is confirmed on a random probe.
     """
     rng = rng or np.random.default_rng(0)
+    branches = bell_branches(np.kron(np.eye(2), resource.amplitudes()), 3, (0, 1))
     unitaries = {}
     for kind in BellKind:
-        m = _branch_matrix(resource, kind)
+        m = branches[kind].T
         scale = np.linalg.norm(m) / np.sqrt(2.0)
         found = next((u for u in _PAULI_GROUP if _is_identity_multiple(u @ m / scale)), None)
         if found is None:
@@ -228,7 +223,7 @@ def teleportation_shots(alpha, beta, resource, shots, rng, table):
     """Teleportation rounds, one rng.random() per shot: prepare, Bell-measure
     (0,1), correct qubit 2. Returns one TeleportationResult per distinct
     outcome and each shot's index into them."""
-    target = from_amplitudes([alpha, beta], 1)
+    target = from_amplitudes([alpha, beta], 1)  # also the input qubit
 
     def result(record):
         corrected = apply_unitary(record.remote_state_via_shadow, [0], table[record.outcome])
@@ -236,8 +231,8 @@ def teleportation_shots(alpha, beta, resource, shots, rng, table):
         return TeleportationResult(record.outcome, record.probability,
                                    fidelity(corrected, target), dev)
 
-    return _paths(teleport_input_state(alpha, beta, resource),
-                  [((0, 1), BELL_BASIS, BELL_LABELS)], rng.random((shots, 1)), result)
+    return _paths(_joined(target, resource), [((0, 1), BELL_BASIS, BELL_LABELS)],
+                  rng.random((shots, 1)), result)
 
 
 def run_teleportation(alpha, beta, resource=BellKind.PHI_MINUS, rng=None, table=None):
@@ -260,8 +255,8 @@ class SwapResult:
 
 def swap_outcome_map():
     """Bell kind measured on the middle pair -> Bell kind left on the outer pair,
-    read off the brute-force decomposition."""
-    branches = swap_decomposition().derived_branches
+    read off the brute-force Bell expansion of the swap input."""
+    branches = bell_branches(swap_input_state().primary, 4, (1, 2))
     return {kind: max(BellKind, key=lambda k: abs(np.vdot(k.amplitudes(), branches[kind])))
             for kind in BellKind}
 
@@ -357,7 +352,8 @@ def product_state_demo(shots, rng=None):
         raise ValueError("shots must be >= 1")
     rng = rng or np.random.default_rng()
     u = rng.random((shots, 6))
-    state, plus = product_plus_state(), from_amplitudes([1.0, 1.0], 1)
+    plus = from_amplitudes([1.0, 1.0], 1)
+    state = tensor(plus, plus)
 
     def result(*path):
         return path[-1].outcome, path[0].remote_state_via_shadow

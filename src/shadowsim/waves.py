@@ -1,4 +1,5 @@
-"""1D Schroedinger dynamics of a dual wave function (psi, psi_shadow).
+"""1D Schroedinger dynamics of a dual wave function (psi, psi_shadow), in units
+hbar = m = 1: H = -(1/2) d^2/dx^2 + V, and wave number k0 is a speed.
 
 Time stepping uses the Cayley-form Crank-Nicolson map, which is unitary to
 round-off, so the norm and shadow-lockstep invariants survive arbitrarily long
@@ -51,13 +52,10 @@ class WaveGrid:
     psi_primary: np.ndarray
     psi_shadow: np.ndarray
     t: float = 0.0
-    mass: float = 1.0
 
     def __post_init__(self):
         points = np.size(self.psi_primary) if np.ndim(self.psi_primary) == 1 else 0
         dx = _spacing(self.x_min, self.x_max, points)
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
         prim, shad = check_dual("waves", self.psi_primary, self.psi_shadow,
                                 lambda p: np.sum(np.abs(p) ** 2) * dx)
         object.__setattr__(self, "psi_primary", prim)
@@ -103,7 +101,7 @@ def _cell_centres(x_min, x_max, points):
     return x_min + _spacing(x_min, x_max, points) * (np.arange(points) + 0.5)
 
 
-def gaussian_packet(x_min, x_max, points, x0=0.0, sigma=1.0, k0=0.0, mass=1.0, t=0.0):
+def gaussian_packet(x_min, x_max, points, x0=0.0, sigma=1.0, k0=0.0):
     """Normalized Gaussian wave packet with central momentum k0, mirrored."""
     x = _cell_centres(x_min, x_max, points)
     if not (np.isfinite(x0) and np.isfinite(k0)):
@@ -115,15 +113,15 @@ def gaussian_packet(x_min, x_max, points, x0=0.0, sigma=1.0, k0=0.0, mass=1.0, t
     # phase, which the normalization rejects
     with np.errstate(over="ignore", invalid="ignore"):
         psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma ** 2) + 1j * k0 * x)
-    return from_samples(x_min, x_max, psi, mass=mass, t=t)
+    return from_samples(x_min, x_max, psi)
 
 
-def from_samples(x_min, x_max, values, mass=1.0, t=0.0):
+def from_samples(x_min, x_max, values):
     """Wave grid from raw complex samples, normalized and mirrored."""
     dx = _spacing(x_min, x_max, np.size(values))
     psi = normalized(values, lambda p: np.sqrt(np.sum(np.abs(p) ** 2) * dx),
                      "a wave function")
-    return WaveGrid(x_min, x_max, psi, psi.copy(), t=t, mass=mass)
+    return WaveGrid(x_min, x_max, psi, psi.copy())
 
 
 @dataclass(frozen=True)
@@ -145,8 +143,8 @@ class Potential:
 
     @classmethod
     def harmonic(cls, grid):
-        """Harmonic well m x^2 / 2 of unit frequency."""
-        return cls(0.5 * grid.mass * grid.x ** 2)
+        """Harmonic well x^2 / 2 of unit frequency."""
+        return cls(0.5 * grid.x ** 2)
 
 
 def _hamiltonian(grid, v, boundary):
@@ -160,8 +158,7 @@ def _hamiltonian(grid, v, boundary):
         lap[-1, 0] = 1.0
     elif boundary != "hard-wall":
         raise ValueError(f"unknown boundary {boundary!r}")
-    h = (-1.0 / (2.0 * grid.mass)) * lap.tocsc() / dx2 + sp.diags(v.values).tocsc()
-    return h
+    return -0.5 * lap.tocsc() / dx2 + sp.diags(v.values).tocsc()
 
 
 def evolve(grid, v, dt, steps, boundary="periodic"):
@@ -195,22 +192,20 @@ def evolve(grid, v, dt, steps, boundary="periodic"):
                 f"waves: finiteness broken: non-finite amplitudes at "
                 f"t={grid.t + step * dt:g} (dt={dt:g})"
             )
-    return WaveGrid(grid.x_min, grid.x_max, psi[:, 0], psi[:, 1],
-                    t=grid.t + steps * dt, mass=grid.mass)
+    return WaveGrid(grid.x_min, grid.x_max, psi[:, 0], psi[:, 1], t=grid.t + steps * dt)
 
 
 def free_propagate(grid, duration):
-    """Exact free evolution via the spectral propagator exp(-i k^2 t / 2m).
+    """Exact free evolution via the spectral propagator exp(-i k^2 t / 2).
 
     Periodic in space; both registers advanced by the same diagonal unitary
     in one FFT pair.
     """
     k = 2.0 * np.pi * np.fft.fftfreq(grid.points, d=grid.dx)
-    phase = np.exp(-1j * k ** 2 * duration / (2.0 * grid.mass))
+    phase = np.exp(-1j * k ** 2 * duration / 2.0)
     psi = np.stack((grid.psi_primary, grid.psi_shadow))
     psi = np.fft.ifft(phase * np.fft.fft(psi, axis=-1), axis=-1)
-    return WaveGrid(grid.x_min, grid.x_max, psi[0], psi[1],
-                    t=grid.t + duration, mass=grid.mass)
+    return WaveGrid(grid.x_min, grid.x_max, psi[0], psi[1], t=grid.t + duration)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +271,7 @@ def zone_profile(grid, partition, i):
 def collapse_to(grid, partition, zone):
     """Both wave functions confined to the zone in one atomic step."""
     prof = zone_profile(grid, partition, zone)
-    return WaveGrid(grid.x_min, grid.x_max, prof, prof.copy(), t=grid.t, mass=grid.mass)
+    return WaveGrid(grid.x_min, grid.x_max, prof, prof.copy(), t=grid.t)
 
 
 def collapse_detect(grid, partition, rng=None):
@@ -316,24 +311,24 @@ class DoubleSlitResult:
     screen_grid: WaveGrid
 
 
-def _evolved_gaussian(x, t, x0, sigma, mass):
+def _evolved_gaussian(x, t, x0, sigma):
     """Closed-form free evolution of exp(-(x-x0)^2 / (4 sigma^2)), normalized."""
-    tau = 1.0 + 1j * t / (2.0 * mass * sigma ** 2)
+    tau = 1.0 + 1j * t / (2.0 * sigma ** 2)
     amp = (2.0 * np.pi * sigma ** 2) ** (-0.25) / np.sqrt(tau)
     return amp * np.exp(-((x - x0) ** 2) / (4.0 * sigma ** 2 * tau))
 
 
-def analytic_screen_intensity(x, geometry, wavelength, mass=1.0, slits="both"):
+def analytic_screen_intensity(x, geometry, wavelength, slits="both"):
     """Independent closed-form |psi|^2 on the screen (sum of evolved Gaussians)."""
     k0 = 2.0 * np.pi / wavelength
-    t = mass * geometry.distance / k0
+    t = geometry.distance / k0
     half = geometry.separation / 2.0
     if slits == "both":
-        psi = (_evolved_gaussian(x, t, -half, geometry.width, mass)
-               + _evolved_gaussian(x, t, half, geometry.width, mass)) / np.sqrt(2.0)
+        psi = (_evolved_gaussian(x, t, -half, geometry.width)
+               + _evolved_gaussian(x, t, half, geometry.width)) / np.sqrt(2.0)
     elif slits in ("left", "right"):
         x0 = -half if slits == "left" else half
-        psi = _evolved_gaussian(x, t, x0, geometry.width, mass)
+        psi = _evolved_gaussian(x, t, x0, geometry.width)
     else:
         raise ValueError(f"unknown slit selection {slits!r}")
     return np.abs(psi) ** 2
@@ -372,7 +367,7 @@ def double_slit_accumulate(geometry, shots, bins, rng=None, wavelength=0.05, sli
     if not 0.0 < width2 < np.inf:
         raise ValueError(f"slit width must have 4 width^2 finite and > 0: {geometry.width}")
     k0 = 2.0 * np.pi / wavelength
-    duration = geometry.distance / k0  # mass-normalized flight time, m = 1
+    duration = geometry.distance / k0  # flight time at speed k0
     spacing = wavelength * geometry.distance / geometry.separation
     screen_halfwidth = 3.0 * spacing
     # domain wide enough that the spread packets stay clear of the wrap-around
@@ -383,10 +378,13 @@ def double_slit_accumulate(geometry, shots, bins, rng=None, wavelength=0.05, sli
     centres = {"both": (-half, half), "left": (-half,), "right": (half,)}.get(slits)
     if centres is None:
         raise ValueError(f"unknown slit selection {slits!r}")
-    # a square that overflows gives the exact zero tail, exp(-inf); an aperture
-    # that is zero everywhere fails the normalization
+    # a square that overflows gives the exact zero tail, exp(-inf)
     with np.errstate(over="ignore"):
         psi0 = sum(np.exp(-((x - x0) ** 2) / width2) for x0 in centres)
+    if not np.any(psi0):
+        raise ValueError(f"slit width {geometry.width:g} is too narrow for the far-field "
+                         f"grid's cell width {2.0 * half_domain / SCREEN_POINTS:g}: "
+                         "no aperture sample is nonzero")
     grid = from_samples(-half_domain, half_domain, psi0)
     screen = free_propagate(grid, duration)
     intensity = np.abs(screen.psi_primary) ** 2

@@ -394,6 +394,21 @@ def test_bad_grid_inputs_exit_2_with_one_line(argv, capsys):
     assert err.startswith(f"shadowsim {argv[0]}: error:")
 
 
+@pytest.mark.parametrize("argv,width,cell", [
+    (["doubleslit", "--distance", "1e308"], "0.1", "5.82843e+303"),
+    (["doubleslit", "--wavelength", "1e300"], "0.1", "1.16569e+299"),
+    (["doubleslit", "--separation", "1e200", "--distance", "1e300", "--width", "1"],
+     "1", "5.82843e+294"),
+])
+def test_aperture_below_the_far_field_cell_names_both_widths(argv, width, cell, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"shadowsim doubleslit: error: slit width {width} is too narrow for the far-field "
+        f"grid's cell width {cell}: no aperture sample is nonzero\n")
+
+
 # --- scipy off the import path -----------------------------------------------------------
 
 IMPORT_PATH = """
@@ -402,7 +417,8 @@ from shadowsim import cli
 for argv in (["algebra"], ["erratum"], ["bell"]):
     cli.run(argv + ["--output", os.devnull])
 assert "numpy.random" not in sys.modules
-cli.run(["teleport", "--output", os.devnull])
+for argv in (["teleport"], ["swap"], ["readout"], ["product"]):
+    cli.run(argv + ["--output", os.devnull])
 print(",".join(m for m in sys.modules if m.startswith("scipy")))
 cli.run(["collapse", "--output", os.devnull])
 print(",".join(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.sparse"))))

@@ -17,7 +17,8 @@ from shadowsim.protocols import (
     teleport_decomposition,
     teleport_input_state,
 )
-from shadowsim.register import BellKind, PAULI_Z, bell_pair, fidelity, from_amplitudes
+from shadowsim.register import (BellKind, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, bell_pair,
+                                fidelity, from_amplitudes)
 
 
 # --- brute-force decomposition oracle -------------------------------------------
@@ -44,6 +45,17 @@ def test_teleport_psi_branch_is_spin_flipped():
     np.testing.assert_allclose(minus, 0.5 * np.array([-beta, -alpha]), atol=1e-14)
     plus = report.derived_branches[BellKind.PSI_PLUS]
     np.testing.assert_allclose(plus, 0.5 * np.array([beta, -alpha]), atol=1e-14)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1e-200, 1e-200j), (1e200, 1e200j)])
+def test_teleport_decomposition_of_tiny_and_huge_amplitudes(alpha, beta):
+    # (alpha, beta) is normalized once, by the exact scaling of from_amplitudes
+    report = teleport_decomposition(alpha, beta)
+    reference = teleport_decomposition(0.6, 0.8j)
+    assert report.verdicts == reference.verdicts
+    assert report.residuals[BellKind.PHI_PLUS] < 1e-12
+    assert report.residuals[BellKind.PHI_MINUS] < 1e-12
+    assert report.reassembly_residual < 1e-12
 
 
 def test_branch_completeness_teleport():
@@ -86,6 +98,16 @@ def test_phase_invariant_distance():
         np.sqrt(2.0))
 
 
+def test_phase_invariant_distance_is_accurate_near_zero():
+    # a square root of a cancelling difference of squares would leave ~1e-8
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        u /= np.linalg.norm(u)
+        v = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * u * (1.0 + 1e-15)
+        assert phase_invariant_distance(u, v) < 1e-14
+
+
 # --- correction tables ------------------------------------------------------------
 
 def test_phi_minus_resource_identity_branch():
@@ -98,6 +120,39 @@ def test_phi_minus_resource_z_branch():
     table = derive_correction_table(BellKind.PHI_MINUS)
     u = table[BellKind.PHI_PLUS]
     assert phase_invariant_distance(u.reshape(-1), PAULI_Z.reshape(-1)) < 1e-12
+
+
+# each resource's correction table, exactly; taken from an earlier derivation
+# that solved each branch matrix from two numeric probes, so the pins do not
+# come from the code they check
+PINNED_TABLES = {
+    BellKind.PHI_PLUS: {BellKind.PHI_PLUS: PAULI_I, BellKind.PHI_MINUS: PAULI_Z,
+                        BellKind.PSI_PLUS: PAULI_X, BellKind.PSI_MINUS: PAULI_Y},
+    BellKind.PHI_MINUS: {BellKind.PHI_PLUS: PAULI_Z, BellKind.PHI_MINUS: PAULI_I,
+                         BellKind.PSI_PLUS: PAULI_Y, BellKind.PSI_MINUS: PAULI_X},
+    BellKind.PSI_PLUS: {BellKind.PHI_PLUS: PAULI_X, BellKind.PHI_MINUS: PAULI_Y,
+                        BellKind.PSI_PLUS: PAULI_I, BellKind.PSI_MINUS: PAULI_Z},
+    BellKind.PSI_MINUS: {BellKind.PHI_PLUS: PAULI_Y, BellKind.PHI_MINUS: PAULI_X,
+                         BellKind.PSI_PLUS: PAULI_Z, BellKind.PSI_MINUS: PAULI_I},
+}
+
+
+@pytest.mark.parametrize("resource", list(BellKind))
+def test_correction_table_pinned_exactly(resource):
+    table = derive_correction_table(resource)
+    assert list(table) == list(BellKind)
+    for kind in BellKind:
+        np.testing.assert_array_equal(table[kind], PINNED_TABLES[resource][kind])
+
+
+def test_correction_tables_pass_the_probe_check_under_any_rng():
+    # the 1e-10 probe check must not trip on round-off for any random probe
+    for seed in range(500):
+        rng = np.random.default_rng(seed)
+        for resource in BellKind:
+            table = derive_correction_table(resource, rng)
+            for kind in BellKind:
+                np.testing.assert_array_equal(table[kind], PINNED_TABLES[resource][kind])
 
 
 @pytest.mark.parametrize("resource", list(BellKind))
