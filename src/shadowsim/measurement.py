@@ -5,10 +5,13 @@ with the target qubits of the stacked primary/shadow pair and ``_embed`` puts
 it back. One walker, ``measure_shots``, runs a sequence of measurement steps
 (``Z_BASIS``, ``X_BASIS``, any 2x2 basis, or ``BELL_BASIS`` on a pair) for
 many shots at once, collapsing both registers once per distinct outcome path;
-``projective_measure`` and ``bell_measure`` are its one-shot case. Each record
-also carries the conditional state of the unmeasured qubits read two ways:
-from the shadow register (the nonlocality mechanism under test) and from the
-primary. ``sample_outcome`` is the package's one sampler.
+``projective_measure`` and ``bell_measure`` are its one-shot case. It checks
+every step once per walk and builds a post-state only to measure the next
+step on it. Each record keeps the conditional pair of the unmeasured qubits
+and builds its registers when they are read: the post-state, and the
+unmeasured qubits' state read two ways, from the shadow register (the
+nonlocality mechanism under test) and from the primary. Every register built
+is validated; none is kept. ``sample_outcome`` is the package's one sampler.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .register import (BellKind, DualRegister, HADAMARD, check_targets,
-                       check_unitary, from_amplitudes)
+                       check_unitary, from_amplitudes, read_only, targets_first)
 
 # columns are the outcome states
 Z_BASIS = np.eye(2, dtype=complex)
@@ -30,11 +33,35 @@ BELL_LABELS = tuple(BellKind)
 
 @dataclass(frozen=True)
 class MeasurementRecord:
+    """One outcome of one step: its label and Born probability, and `cond`, the
+    read-only conditional pair of the unmeasured qubits (row 0 from the
+    primary, row 1 from the shadow). Each register is built, and validated,
+    every time it is read."""
+
     outcome: Union[int, BellKind]
     probability: float
-    post_state: DualRegister
-    remote_state_via_shadow: Optional[DualRegister]
-    remote_state_direct: Optional[DualRegister]
+    cond: np.ndarray
+    qubit_count: int
+    targets: tuple
+    ket: np.ndarray
+
+    @property
+    def post_state(self) -> DualRegister:
+        """The collapsed register: the outcome ket on the targets, tensored
+        with the normalized conditional pair."""
+        n = self.qubit_count
+        post = _embed(self.cond, n, self.targets, self.ket) / np.linalg.norm(self.cond[0])
+        return DualRegister(n, post[0], post[1])
+
+    @property
+    def remote_state_via_shadow(self) -> Optional[DualRegister]:
+        """The unmeasured qubits' register read from the shadow."""
+        return _remote_register(self.cond[1])
+
+    @property
+    def remote_state_direct(self) -> Optional[DualRegister]:
+        """The unmeasured qubits' register read from the primary."""
+        return _remote_register(self.cond[0])
 
 
 def sample_outcome(u, probs):
@@ -52,33 +79,34 @@ def sample_outcome(u, probs):
 def _project(vecs, n, targets, ket):
     """Contract <ket| with the target qubits of every row of vecs, shape
     (..., 2**n): the unnormalized amplitudes of the other qubits, shape
-    (..., 2**(n - len(targets)))."""
+    (..., 2**(n - len(targets))). This is the one matrix product
+    np.tensordot(bra, vecs, target axes) makes, without its argument handling."""
     vecs = np.asarray(vecs, dtype=complex)
     lead = vecs.shape[:-1]
-    t = len(targets)
-    a = vecs.reshape(lead + (2,) * n)
-    bra = np.conj(ket).reshape((2,) * t)
-    out = np.tensordot(bra, a, axes=(list(range(t)), [len(lead) + q for q in targets]))
+    a = vecs.reshape(lead + (2,) * n).transpose(targets_first(lead, n, targets)[0])
+    out = np.dot(np.conj(ket).reshape(1, -1), a.reshape(2 ** len(targets), -1))
     return out.reshape(lead + (-1,))
 
 
 def _embed(conds, n, targets, ket):
     """Inverse of _project: |ket> on the target qubits, tensored with every
-    row of conds in the order of the other qubits."""
+    row of conds in the order of the other qubits. The outer product is the
+    one np.tensordot(ket, conds, axes=0) makes."""
     conds = np.asarray(conds)
     lead = conds.shape[:-1]
     t = len(targets)
-    a = np.tensordot(np.reshape(ket, (2,) * t), conds.reshape(lead + (2,) * (n - t)), axes=0)
-    a = np.moveaxis(a, range(t), [len(lead) + q for q in targets])
-    return a.reshape(lead + (-1,))
+    a = np.dot(np.reshape(ket, (2,) * t).reshape(2 ** t, 1), conds.reshape(1, -1))
+    back = targets_first(lead, n, targets)[1]
+    return a.reshape((2,) * t + lead + (2,) * (n - t)).transpose(back).reshape(lead + (-1,))
 
 
 def _branches(state, targets, basis):
-    """Conditional stacked pair for each basis column, and Born probabilities."""
+    """Read-only conditional stacked pair for each basis column, and Born
+    probabilities."""
     pair = state.pair
     conds = [_project(pair, state.qubit_count, targets, basis[:, k])
              for k in range(basis.shape[1])]
-    return conds, [float(np.sum(np.abs(c[0]) ** 2)) for c in conds]
+    return [read_only(c) for c in conds], [float(np.sum(np.abs(c[0]) ** 2)) for c in conds]
 
 
 def _remote_register(cond):
@@ -94,26 +122,35 @@ def measure_shots(state, steps, u):
     Each step is (targets, basis, labels) and measures the post-state of the
     step before it. Row i of u holds shot i's uniforms, one per step, in the
     order a per-shot loop would draw them. Returns the distinct outcome paths,
-    each a tuple of MeasurementRecords built once, and for each shot the index
-    of its path.
+    each a tuple of MeasurementRecords made once, and for each shot the index
+    of its path. Every step is checked once, before any is measured.
     """
-    u = np.asarray(u, dtype=float)
-    if not steps:
-        return [()], np.zeros(len(u), dtype=int)
-    (targets, basis, labels), rest = steps[0], steps[1:]
     n = state.qubit_count
-    targets = check_targets(n, targets)
-    basis = check_unitary(basis, 2 ** len(targets), "basis")
+    checked = []
+    for targets, basis, labels in steps:
+        targets = tuple(check_targets(n, targets))
+        basis = read_only(np.array(check_unitary(basis, 2 ** len(targets), "basis")))
+        checked.append((targets, basis, labels))
+    u = np.asarray(u, dtype=float)
+    if not checked:
+        return [()], np.zeros(len(u), dtype=int)
+    return _walk(state, checked, u)
+
+
+def _walk(state, steps, u):
+    """measure_shots on checked steps; a post-state is built only to measure
+    the next step on it."""
+    (targets, basis, labels), rest = steps[0], steps[1:]
     conds, probs = _branches(state, targets, basis)
     outcomes, shot_outcome = np.unique(sample_outcome(u[:, 0], probs), return_inverse=True)
     paths, index = [], np.empty(len(u), dtype=int)
     for j, k in enumerate(outcomes):
-        cond = conds[k]
-        post = _embed(cond, n, targets, basis[:, k]) / np.linalg.norm(cond[0])
-        record = MeasurementRecord(labels[k], probs[k], DualRegister(n, post[0], post[1]),
-                                   _remote_register(cond[1]), _remote_register(cond[0]))
+        record = MeasurementRecord(labels[k], probs[k], conds[k], state.qubit_count,
+                                   targets, basis[:, k])
         shots = shot_outcome == j
-        tails, tail_index = measure_shots(record.post_state, rest, u[shots, 1:])
+        tails, tail_index = [()], 0
+        if rest:
+            tails, tail_index = _walk(record.post_state, rest, u[shots, 1:])
         index[shots] = len(paths) + tail_index
         paths += [(record,) + tail for tail in tails]
     return paths, index

@@ -35,6 +35,7 @@ from .register import (
     bell_pair,
     fidelity,
     from_amplitudes,
+    read_only,
     tensor,
 )
 
@@ -159,13 +160,15 @@ def swap_decomposition():
 # correction tables
 
 
-# the phase-extended Pauli group, in search order
-_PAULI_GROUP = [phase * pauli for pauli in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
-                for phase in (1.0, -1.0, 1j, -1j)]
+# the phase-extended Pauli group, in search order, as one read-only stack
+_PAULI_GROUP = read_only(np.array([phase * pauli for pauli in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+                                   for phase in (1.0, -1.0, 1j, -1j)]))
 
 
-def _is_identity_multiple(d):
-    return abs(d[0, 1]) < 1e-10 and abs(d[1, 0]) < 1e-10 and abs(d[0, 0] - d[1, 1]) < 1e-10
+def _identity_multiples(d):
+    """For a stack of 2x2 matrices, whether each is the identity times a scalar."""
+    return ((abs(d[..., 0, 1]) < 1e-10) & (abs(d[..., 1, 0]) < 1e-10)
+            & (abs(d[..., 0, 0] - d[..., 1, 1]) < 1e-10))
 
 
 def derive_correction_table(resource: BellKind, rng=None):
@@ -175,20 +178,23 @@ def derive_correction_table(resource: BellKind, rng=None):
     Branch M (remote branch M @ (alpha, beta)) has as column c the branch of the
     basis input |c> joined with the resource, all read off one Bell expansion.
     A candidate is accepted when U @ M is proportional to the identity and the
-    correction is confirmed on a random probe.
+    correction is confirmed on a random probe; the first accepted candidate in
+    search order is taken, with every candidate tested on every branch at once.
     """
     rng = rng or np.random.default_rng(0)
     branches = bell_branches(np.kron(np.eye(2), resource.amplitudes()), 3, (0, 1))
+    ms = [branches[kind].T for kind in BellKind]
+    scales = np.array([np.linalg.norm(m) for m in ms]) / np.sqrt(2.0)
+    accepted = _identity_multiples((_PAULI_GROUP[:, None] @ np.array(ms))
+                                   / scales[:, None, None])
     unitaries = {}
-    for kind in BellKind:
-        m = branches[kind].T
-        scale = np.linalg.norm(m) / np.sqrt(2.0)
-        found = next((u for u in _PAULI_GROUP if _is_identity_multiple(u @ m / scale)), None)
-        if found is None:
+    for kind, m, hits in zip(BellKind, ms, accepted.T):
+        if not hits.any():
             raise RuntimeError(
                 f"no Pauli-group correction found for outcome {kind}; "
                 "decomposition oracle is inconsistent"
             )
+        found = _PAULI_GROUP[hits.argmax()]
         # confirm on an independent random probe
         probe = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         probe /= np.linalg.norm(probe)
@@ -256,8 +262,10 @@ class SwapResult:
 def swap_outcome_map():
     """Bell kind measured on the middle pair -> Bell kind left on the outer pair,
     read off the brute-force Bell expansion of the swap input."""
-    branches = bell_branches(swap_input_state().primary, 4, (1, 2))
-    return {kind: max(BellKind, key=lambda k: abs(np.vdot(k.amplitudes(), branches[kind])))
+    singlet = BellKind.PSI_MINUS.amplitudes()
+    branches = bell_branches(np.kron(singlet, singlet), 4, (1, 2))
+    kets = {kind: kind.amplitudes() for kind in BellKind}
+    return {kind: max(BellKind, key=lambda k: abs(np.vdot(kets[k], branches[kind])))
             for kind in BellKind}
 
 
@@ -355,17 +363,15 @@ def product_state_demo(shots, rng=None):
     plus = from_amplitudes([1.0, 1.0], 1)
     state = tensor(plus, plus)
 
-    def result(*path):
-        return path[-1].outcome, path[0].remote_state_via_shadow
-
     # each shot draws, in order: measured case (qubit 0 read out first) in z
     # and in x, then the control case (qubit 0 untouched) in z and in x
-    runs = [_paths(state, steps, u[:, cols], result) for steps, cols in (
+    runs = [measure_shots(state, steps, u[:, cols]) for steps, cols in (
         ([_step(0, Z_BASIS), _step(1, Z_BASIS)], slice(0, 2)),
         ([_step(0, Z_BASIS), _step(1, X_BASIS)], slice(2, 4)),
         ([_step(1, Z_BASIS)], slice(4, 5)),
         ([_step(1, X_BASIS)], slice(5, 6)))]
-    mz, mx, cz, cx = [np.count_nonzero(np.array([o for o, _ in paths])[index] == 0) / shots
-                      for paths, index in runs]
-    min_fid = min([1.0] + [fidelity(remote, plus) for _, remote in runs[0][0]])
+    mz, mx, cz, cx = [np.count_nonzero(np.array([p[-1].outcome for p in paths])[index] == 0)
+                      / shots for paths, index in runs]
+    # the shadow-read remote state of the measured z run, per path
+    min_fid = min([1.0] + [fidelity(p[0].remote_state_via_shadow, plus) for p in runs[0][0]])
     return ProductStateStats(shots, abs(mz - cz), abs(mx - cx), min_fid, mz, cz, mx, cx)

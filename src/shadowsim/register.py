@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
 
@@ -40,26 +41,29 @@ def mirror_deviation(primary, shadow):
     return float(np.max(diff)) if diff.size else 0.0
 
 
+def read_only(a):
+    """The array a, made read-only."""
+    a.setflags(write=False)
+    return a
+
+
 def check_dual(kind, primary, shadow, norm):
     """Read-only complex copies of both records of a `kind` dual object, after
     checking its mirror contract; `norm` maps the primary to the quantity that
     must equal one, None where unnormalized states are allowed."""
-    tol = TOLERANCES[kind]
     prim = np.array(primary, dtype=complex)
     shad = np.array(shadow, dtype=complex)
     if shad.shape != prim.shape:
         raise ValueError(f"{kind}: shadow has shape {shad.shape}, primary {prim.shape}")
     # the mirror residual is finite exactly when every entry of both records is
-    residuals = {"mirror": mirror_deviation(prim, shad)}
+    residuals = [("mirror", float(np.abs(prim - shad).max()) if prim.size else 0.0)]
     if norm is not None:
-        residuals["norm"] = abs(norm(prim) - 1.0)
-    for name, residual in residuals.items():
-        if not residual <= tol[name]:
-            raise InvariantViolation(f"{kind}: {name} residual {residual:.3g} > "
-                                     f"tolerance {tol[name]:g}")
-    prim.setflags(write=False)
-    shad.setflags(write=False)
-    return prim, shad
+        residuals.append(("norm", abs(norm(prim) - 1.0)))
+    for name, residual in residuals:
+        tol = TOLERANCES[kind][name]
+        if not residual <= tol:
+            raise InvariantViolation(f"{kind}: {name} residual {residual:.3g} > tolerance {tol:g}")
+    return read_only(prim), read_only(shad)
 
 
 def check_targets(n, targets):
@@ -89,14 +93,18 @@ class BellKind(Enum):
     PSI_MINUS = "psi-minus"
 
     def amplitudes(self):
-        s = 1.0 / np.sqrt(2.0)
-        table = {
-            BellKind.PHI_PLUS: [s, 0, 0, s],
-            BellKind.PHI_MINUS: [s, 0, 0, -s],
-            BellKind.PSI_PLUS: [0, s, s, 0],
-            BellKind.PSI_MINUS: [0, s, -s, 0],
-        }
-        return np.array(table[self], dtype=complex)
+        """A writable copy of this kind's four amplitudes."""
+        return _BELL_AMPLITUDES[self].copy()
+
+
+_S = 1.0 / np.sqrt(2.0)
+_BELL_AMPLITUDES = MappingProxyType({
+    kind: read_only(np.array(amps, dtype=complex)) for kind, amps in {
+        BellKind.PHI_PLUS: [_S, 0, 0, _S],
+        BellKind.PHI_MINUS: [_S, 0, 0, -_S],
+        BellKind.PSI_PLUS: [0, _S, _S, 0],
+        BellKind.PSI_MINUS: [0, _S, -_S, 0],
+    }.items()})
 
 
 @dataclass(frozen=True)
@@ -167,15 +175,22 @@ def tensor(a: DualRegister, b: DualRegister):
     return DualRegister(a.qubit_count + b.qubit_count, pair[0], pair[1])
 
 
+def targets_first(lead, n, targets):
+    """The axis order that puts the target qubits' axes of an array of shape
+    lead + (2,) * n first and keeps the others in order, and its inverse."""
+    slots = [len(lead) + q for q in targets]
+    order = slots + [ax for ax in range(len(lead) + n) if ax not in slots]
+    return order, sorted(range(len(order)), key=order.__getitem__)
+
+
 def _embed_apply(vecs, n, targets, u):
     """u on the target qubits of every row of vecs, shape (..., 2**n)."""
     lead = vecs.shape[:-1]
-    t = len(targets)
-    qubit_axes = [len(lead) + q for q in targets]
-    a = np.moveaxis(vecs.reshape(lead + (2,) * n), qubit_axes, range(t))
+    order, back = targets_first(lead, n, targets)
+    a = vecs.reshape(lead + (2,) * n).transpose(order)
     shape = a.shape
-    a = (u @ a.reshape(2 ** t, -1)).reshape(shape)
-    return np.moveaxis(a, range(t), qubit_axes).reshape(vecs.shape)
+    a = (u @ a.reshape(2 ** len(targets), -1)).reshape(shape)
+    return a.transpose(back).reshape(vecs.shape)
 
 
 def apply_unitary(state: DualRegister, targets, u):

@@ -381,10 +381,15 @@ def double_slit_accumulate(geometry, shots, bins, rng=None, wavelength=0.05, sli
     # a square that overflows gives the exact zero tail, exp(-inf)
     with np.errstate(over="ignore"):
         psi0 = sum(np.exp(-((x - x0) ** 2) / width2) for x0 in centres)
+    cell = 2.0 * half_domain / SCREEN_POINTS
     if not np.any(psi0):
         raise ValueError(f"slit width {geometry.width:g} is too narrow for the far-field "
-                         f"grid's cell width {2.0 * half_domain / SCREEN_POINTS:g}: "
-                         "no aperture sample is nonzero")
+                         f"grid's cell width {cell:g}: no aperture sample is nonzero")
+    # a slit narrower than one cell is sampled too coarsely for the screen
+    # intensity to follow the far-field oracle
+    if cell > geometry.width:
+        raise ValueError(f"slit width {geometry.width:g} is narrower than the far-field "
+                         f"grid's cell width {cell:g}: the aperture is not resolved")
     grid = from_samples(-half_domain, half_domain, psi0)
     screen = free_propagate(grid, duration)
     intensity = np.abs(screen.psi_primary) ** 2

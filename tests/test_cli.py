@@ -409,6 +409,48 @@ def test_aperture_below_the_far_field_cell_names_both_widths(argv, width, cell, 
         f"grid's cell width {cell}: no aperture sample is nonzero\n")
 
 
+@pytest.mark.parametrize("distance,cell", [("2000", "0.116569"), ("1e4", "0.582843")])
+def test_far_field_cell_wider_than_the_slit_exits_2(distance, cell, capsys):
+    # at these distances the screen intensity leaves the analytic oracle
+    with pytest.raises(SystemExit) as exc:
+        run(["doubleslit", "--distance", distance])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"shadowsim doubleslit: error: slit width 0.1 is narrower than the far-field "
+        f"grid's cell width {cell}: the aperture is not resolved\n")
+
+
+def test_far_field_cell_narrower_than_the_slit_runs(tmp_path):
+    code, _ = invoke(["doubleslit", "--distance", "1000"], tmp_path)
+    assert code == 0
+
+
+# --- validated register builds per request --------------------------------------------------
+
+@pytest.mark.parametrize("argv,builds", [
+    (["teleport", "--shots", "200"], 15),
+    (["swap", "--shots", "200"], 15),
+    (["readout", "--shots", "550"], 7),
+    (["product", "--shots", "175"], 10),
+])
+def test_validated_register_builds_per_request(argv, builds, monkeypatch, tmp_path):
+    # measurement records build their registers only when read: a request
+    # validates exactly the registers it reads, each once per read
+    from shadowsim import register
+
+    kinds = []
+    check_dual = register.check_dual
+
+    def counting(kind, *args):
+        kinds.append(kind)
+        return check_dual(kind, *args)
+
+    monkeypatch.setattr(register, "check_dual", counting)
+    code, _ = invoke(argv, tmp_path)
+    assert code == 0
+    assert kinds.count("register") == builds
+
+
 # --- scipy off the import path -----------------------------------------------------------
 
 IMPORT_PATH = """

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from shadowsim.measurement import (
+    BELL_BASIS,
+    BELL_LABELS,
     X_BASIS,
     Z_BASIS,
     bell_measure,
@@ -195,3 +198,74 @@ def test_no_signalling_marginals():
     without = remote_up([q1], u[:, 2:])
     tvd = abs(with_meas - without) / shots
     assert tvd < 4.0 / np.sqrt(shots)
+
+
+# --- records against a dense-projector oracle -----------------------------------
+
+def _bits(i, n, qubits):
+    """The bits of basis index i on the listed qubits (qubit 0 leftmost), as an index."""
+    return sum(((i >> (n - 1 - q)) & 1) << (len(qubits) - 1 - a) for a, q in enumerate(qubits))
+
+
+def dense_oracle(psi, n, targets, ket):
+    """(P_k (x) I) psi / norm, with P_k = |ket><ket| on the targets, and the
+    unmeasured qubits' state (<ket| (x) I) psi / norm with its squared norm,
+    from dense matrices over the basis indices."""
+    rest = [q for q in range(n) if q not in targets]
+    dim = 2 ** n
+    t_idx = [_bits(i, n, targets) for i in range(dim)]
+    r_idx = [_bits(i, n, rest) for i in range(dim)]
+    contract = np.zeros((2 ** len(rest), dim), dtype=complex)
+    proj = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        contract[r_idx[i], i] = np.conj(ket[t_idx[i]])
+        for j in range(dim):
+            if r_idx[i] == r_idx[j]:
+                proj[i, j] = ket[t_idx[i]] * np.conj(ket[t_idx[j]])
+    post, remote = proj @ psi, contract @ psi
+    prob = np.vdot(remote, remote).real
+    return post / np.linalg.norm(post), remote / np.linalg.norm(remote), prob
+
+
+ORACLE_STEP = st.tuples(st.sampled_from(["z", "x", "bell"]), st.integers(0, 3), st.integers(0, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 4), st.lists(ORACLE_STEP, min_size=1, max_size=3),
+       st.integers(0, 2 ** 32 - 1))
+def test_records_equal_the_dense_projector_oracle(n, raw_steps, seed):
+    rng = np.random.default_rng(seed)
+    state = random_state(n, rng)
+    steps, kets = [], []
+    for kind, a, b in raw_steps:
+        q = a % n
+        if kind == "bell":
+            steps.append(((q, (q + 1 + b % (n - 1)) % n), BELL_BASIS, BELL_LABELS))
+            kets.append({k: k.amplitudes() for k in BellKind})
+        else:
+            s = 1.0 / np.sqrt(2.0)
+            steps.append(((q,), Z_BASIS if kind == "z" else X_BASIS, (0, 1)))
+            kets.append({0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])} if kind == "z"
+                        else {0: np.array([s, s]), 1: np.array([s, -s])})
+    paths, _ = measure_shots(state, steps, rng.random((40, len(steps))))
+    for path in paths:
+        psi = state.primary
+        for rec, (targets, _, _), ket in zip(path, steps, kets):
+            post, remote, prob = dense_oracle(psi, n, targets, ket[rec.outcome])
+            assert rec.probability == pytest.approx(prob, abs=1e-12)
+            assert not rec.cond.flags.writeable
+            with pytest.raises(ValueError):
+                rec.cond[0, 0] = 0.0
+            for reg in (rec.post_state, rec.post_state):
+                np.testing.assert_allclose(reg.primary, post, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(reg.shadow, post, rtol=0, atol=1e-12)
+            assert np.array_equal(rec.post_state.primary, rec.post_state.primary)
+            for read in ("remote_state_via_shadow", "remote_state_direct"):
+                first, second = getattr(rec, read), getattr(rec, read)
+                if len(targets) == n:
+                    assert first is None and second is None
+                    continue
+                np.testing.assert_allclose(first.primary, remote, rtol=0, atol=1e-12)
+                assert np.array_equal(first.primary, second.primary)
+                assert np.array_equal(first.shadow, second.shadow)
+            psi = post
