@@ -3,7 +3,7 @@
 States are maps from occupation tuples to complex amplitudes, stored twice:
 a primary register and a mirrored shadow register that every operation
 updates in the same step.  ``DualFockState`` keeps the mirror contract of
-``register.check_dual``, with the amplitudes compared key by key.
+``register.check_dual``; its held ``pair`` has both maps' amplitudes in key order.
 
 One ladder rule, ``_ladder``, acts on rows of an integer occupation array:
 ``_apply_ladder`` runs it on a state's keys, and ``_ladder_map`` on the basis
@@ -95,17 +95,15 @@ class DualFockState:
                 raise ValueError(f"occupation tuple {occ} has wrong length")
             if any(n < 0 or n > self.grid.max_occupation for n in occ):
                 raise ValueError(f"occupation tuple {occ} out of range")
-        check_dual("fock", *self._aligned(), None)
+        vars(self).update(pair=check_dual(
+            "fock", list(self.primary.values()), [self.shadow[k] for k in self.primary], None))
+
+    mirror_deviation = mirror_deviation
 
     @property
     def is_zero(self):
         """True for the zero vector, which has no stored amplitudes."""
         return not self.primary
-
-    def _aligned(self):
-        """Primary and shadow amplitudes as two lists in one key order."""
-        keys = list(self.primary)
-        return [self.primary[k] for k in keys], [self.shadow[k] for k in keys]
 
     def amplitude(self, occ):
         return self.primary.get(tuple(occ), 0j)
@@ -113,11 +111,8 @@ class DualFockState:
     def norm(self):
         if self.is_zero:
             return 0.0
-        vec, exponent = scaled(list(self.primary.values()))
+        vec, exponent = scaled(self.pair[0])
         return float(np.ldexp(np.linalg.norm(vec), exponent))
-
-    def mirror_deviation(self):
-        return mirror_deviation(*self._aligned())
 
     def _occupations(self):
         """The primary's keys as rows of an integer array."""
@@ -126,14 +121,14 @@ class DualFockState:
     def normalized(self):
         if self.is_zero:
             raise ValueError("cannot normalize the zero vector")
-        amps = normalized(list(self.primary.values()), np.linalg.norm, "a Fock state")
+        amps = normalized(self.pair[0], np.linalg.norm, "a Fock state")
         prim = dict(zip(self.primary, amps.tolist()))
         return DualFockState(self.grid, prim, dict(prim))
 
     def to_vector(self):
         """Dense primary amplitude vector in basis_occupations() order."""
         vec = np.zeros(self.grid.dim, dtype=complex)
-        vec[self._occupations() @ _place_values(self.grid)] = list(self.primary.values())
+        vec[self._occupations() @ _place_values(self.grid)] = self.pair[0]
         return vec
 
 
@@ -177,7 +172,7 @@ def _apply_ladder(state, mode, delta, normalize):
     occ = state._occupations()
     hit, factor = _ladder(grid, occ, mode, delta)
     occ[:, mode] += delta
-    amps = factor * np.array(list(state.primary.values()), dtype=complex)
+    amps = factor * state.pair[0]
     out = {tuple(o): a for o, a, h in zip(occ.tolist(), amps.tolist(), hit.tolist())
            if h and a != 0}
     # the single physical amplitude is shared by both registers: every scalar

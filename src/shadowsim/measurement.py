@@ -1,8 +1,8 @@
 """Projective measurement in any orthonormal basis of one or two qubits.
 
 One kernel serves every measurement: ``_project`` contracts an outcome ket
-with the target qubits of the stacked primary/shadow pair and ``_embed`` puts
-it back. One walker, ``measure_shots``, runs a sequence of measurement steps
+with the target qubits of a register's held primary/shadow pair and ``_embed``
+puts it back. One walker, ``measure_shots``, runs a sequence of measurement steps
 (``Z_BASIS``, ``X_BASIS``, any 2x2 basis, or ``BELL_BASIS`` on a pair) for
 many shots at once, collapsing both registers once per distinct outcome path;
 ``projective_measure`` and ``bell_measure`` are its one-shot case. It checks
@@ -31,7 +31,7 @@ BELL_BASIS = np.column_stack([k.amplitudes() for k in BellKind])
 BELL_LABELS = tuple(BellKind)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementRecord:
     """One outcome of one step: its label and Born probability, and `cond`, the
     read-only conditional pair of the unmeasured qubits (row 0 from the
@@ -101,7 +101,7 @@ def _embed(conds, n, targets, ket):
 
 
 def _branches(state, targets, basis):
-    """Read-only conditional stacked pair for each basis column, and Born
+    """Read-only conditional pair for each basis column, and Born
     probabilities."""
     pair = state.pair
     conds = [_project(pair, state.qubit_count, targets, basis[:, k])

@@ -68,7 +68,7 @@ def reassemble_branches(branches, n, pair):
     return sum(_embed(cond, n, pair, kind.amplitudes()) for kind, cond in branches.items())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompositionReport:
     identity_name: str
     derived_branches: dict
@@ -372,6 +372,7 @@ def product_state_demo(shots, rng=None):
         ([_step(1, X_BASIS)], slice(5, 6)))]
     mz, mx, cz, cx = [np.count_nonzero(np.array([p[-1].outcome for p in paths])[index] == 0)
                       / shots for paths, index in runs]
-    # the shadow-read remote state of the measured z run, per path
-    min_fid = min([1.0] + [fidelity(p[0].remote_state_via_shadow, plus) for p in runs[0][0]])
+    # the shadow-read remote state of the measured z run, per distinct first record
+    firsts = dict.fromkeys(p[0] for p in runs[0][0])
+    min_fid = min([1.0] + [fidelity(rec.remote_state_via_shadow, plus) for rec in firsts])
     return ProductStateStats(shots, abs(mz - cz), abs(mx - cx), min_fid, mz, cz, mx, cx)

@@ -9,8 +9,8 @@ has unit norm where the kind requires it. ``DualRegister``,
 ``fock.DualFockState`` and ``waves.WaveGrid`` call it from ``__post_init__``.
 Its comparisons fail closed, so NaN or inf in either record is rejected; it
 raises ``InvariantViolation`` naming the invariant, residual and tolerance.
-Operations act on the stacked pair ``np.stack((primary, shadow))`` in one
-call, so both records change in the same step.
+It returns the read-only ``(2, N)`` pair each dual object holds, whose rows
+are its two records; operations act on it in one call, so both change together.
 """
 
 from __future__ import annotations
@@ -35,35 +35,42 @@ class InvariantViolation(ValueError):
     """A dual object broke its mirror or norm contract."""
 
 
-def mirror_deviation(primary, shadow):
-    """Largest entry-wise |primary - shadow|; NaN or inf if either is non-finite."""
-    diff = np.abs(np.asarray(primary) - np.asarray(shadow))
-    return float(np.max(diff)) if diff.size else 0.0
-
-
 def read_only(a):
     """The array a, made read-only."""
     a.setflags(write=False)
     return a
 
 
+def _mirror_residual(pair):
+    """Largest entry-wise |row 0 - row 1| of a pair, 0.0 when it is empty; NaN or
+    inf exactly when some entry of either row is non-finite."""
+    return float(np.abs(pair[0] - pair[1]).max(initial=0.0))
+
+
+def mirror_deviation(dual):
+    """The mirror residual of a dual object's held pair: the one method that
+    DualRegister, DualFockState and WaveGrid bind."""
+    return _mirror_residual(dual.pair)
+
+
 def check_dual(kind, primary, shadow, norm):
-    """Read-only complex copies of both records of a `kind` dual object, after
-    checking its mirror contract; `norm` maps the primary to the quantity that
-    must equal one, None where unnormalized states are allowed."""
-    prim = np.array(primary, dtype=complex)
-    shad = np.array(shadow, dtype=complex)
+    """The read-only complex (2, N) pair of a `kind` dual object, row 0 a copy of
+    the primary and row 1 of the shadow, after checking its mirror contract;
+    `norm` maps the primary to the quantity that must equal one, None where
+    unnormalized states are allowed."""
+    prim = np.asarray(primary, dtype=complex)
+    shad = np.asarray(shadow, dtype=complex)
     if shad.shape != prim.shape:
         raise ValueError(f"{kind}: shadow has shape {shad.shape}, primary {prim.shape}")
-    # the mirror residual is finite exactly when every entry of both records is
-    residuals = [("mirror", float(np.abs(prim - shad).max()) if prim.size else 0.0)]
+    pair = np.array((prim, shad))
+    residuals = [("mirror", _mirror_residual(pair))]
     if norm is not None:
-        residuals.append(("norm", abs(norm(prim) - 1.0)))
+        residuals.append(("norm", abs(norm(pair[0]) - 1.0)))
     for name, residual in residuals:
         tol = TOLERANCES[kind][name]
         if not residual <= tol:
             raise InvariantViolation(f"{kind}: {name} residual {residual:.3g} > tolerance {tol:g}")
-    return read_only(prim), read_only(shad)
+    return read_only(pair)
 
 
 def check_targets(n, targets):
@@ -107,9 +114,9 @@ _BELL_AMPLITUDES = MappingProxyType({
     }.items()})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualRegister:
-    """Immutable n-qubit state with mirrored primary and shadow amplitudes."""
+    """Immutable n-qubit state: primary and shadow are the rows of its `pair`."""
 
     qubit_count: int
     primary: np.ndarray
@@ -120,17 +127,10 @@ class DualRegister:
             raise ValueError("qubit_count must be positive")
         if np.shape(self.primary) != (2 ** self.qubit_count,):
             raise ValueError("amplitude vector length must be 2**qubit_count")
-        prim, shad = check_dual("register", self.primary, self.shadow, np.linalg.norm)
-        object.__setattr__(self, "primary", prim)
-        object.__setattr__(self, "shadow", shad)
+        pair = check_dual("register", self.primary, self.shadow, np.linalg.norm)
+        vars(self).update(pair=pair, primary=pair[0], shadow=pair[1])
 
-    @property
-    def pair(self):
-        """The stacked (2, 2**n) array: row 0 the primary, row 1 the shadow."""
-        return np.stack((self.primary, self.shadow))
-
-    def mirror_deviation(self):
-        return mirror_deviation(self.primary, self.shadow)
+    mirror_deviation = mirror_deviation
 
 
 def scaled(values):
@@ -160,13 +160,13 @@ def from_amplitudes(coeffs, qubit_count):
             f"got {vec.shape}"
         )
     vec = normalized(vec, np.linalg.norm, "coefficients")
-    return DualRegister(qubit_count, vec, vec.copy())
+    return DualRegister(qubit_count, vec, vec)
 
 
 def bell_pair(kind: BellKind):
     """Two-qubit register in the named Bell state, shadow mirrored."""
-    vec = kind.amplitudes()
-    return DualRegister(2, vec, vec.copy())
+    vec = _BELL_AMPLITUDES[kind]
+    return DualRegister(2, vec, vec)
 
 
 def tensor(a: DualRegister, b: DualRegister):

@@ -4,8 +4,8 @@ hbar = m = 1: H = -(1/2) d^2/dx^2 + V, and wave number k0 is a speed.
 Time stepping uses the Cayley-form Crank-Nicolson map, which is unitary to
 round-off, so the norm and shadow-lockstep invariants survive arbitrarily long
 runs.  ``WaveGrid`` keeps the mirror contract of ``register.check_dual``, and
-every step advances the primary and the shadow together: one sparse LU solve
-on an (N, 2) right-hand side, or one FFT pair over the stacked rows.  Collapse
+every step advances its held ``pair`` of primary and shadow together: one
+sparse LU solve on its (N, 2) transpose, or one FFT pair over its rows.  Collapse
 is realized on a finite zone partition of the grid: a zone is sampled by the
 Born rule and ``collapse_to`` confines both wave functions to it in one
 atomic step.  The double-slit accumulator propagates a two-Gaussian
@@ -43,9 +43,9 @@ def __getattr__(name):
     return globals()[name]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveGrid:
-    """Discretized dual wave function on a uniform 1D lattice."""
+    """Dual wave function on a uniform 1D lattice, the two rows of its `pair`."""
 
     x_min: float
     x_max: float
@@ -56,10 +56,11 @@ class WaveGrid:
     def __post_init__(self):
         points = np.size(self.psi_primary) if np.ndim(self.psi_primary) == 1 else 0
         dx = _spacing(self.x_min, self.x_max, points)
-        prim, shad = check_dual("waves", self.psi_primary, self.psi_shadow,
-                                lambda p: np.sum(np.abs(p) ** 2) * dx)
-        object.__setattr__(self, "psi_primary", prim)
-        object.__setattr__(self, "psi_shadow", shad)
+        pair = check_dual("waves", self.psi_primary, self.psi_shadow,
+                          lambda p: np.sum(np.abs(p) ** 2) * dx)
+        vars(self).update(pair=pair, psi_primary=pair[0], psi_shadow=pair[1])
+
+    mirror_deviation = mirror_deviation
 
     @property
     def points(self):
@@ -75,9 +76,6 @@ class WaveGrid:
 
     def norm(self):
         return float(np.sqrt(np.sum(np.abs(self.psi_primary) ** 2) * self.dx))
-
-    def mirror_deviation(self):
-        return mirror_deviation(self.psi_primary, self.psi_shadow)
 
 
 def _spacing(x_min, x_max, points):
@@ -121,10 +119,10 @@ def from_samples(x_min, x_max, values):
     dx = _spacing(x_min, x_max, np.size(values))
     psi = normalized(values, lambda p: np.sqrt(np.sum(np.abs(p) ** 2) * dx),
                      "a wave function")
-    return WaveGrid(x_min, x_max, psi, psi.copy())
+    return WaveGrid(x_min, x_max, psi, psi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Potential:
     """Real external potential sampled on the grid points."""
 
@@ -184,7 +182,7 @@ def evolve(grid, v, dt, steps, boundary="periodic"):
     forward = _this.spla.splu((eye + half_step).tocsc())
     back = (eye - half_step).tocsc()
     # columns: primary and shadow, advanced by one solve per step
-    psi = np.stack((grid.psi_primary, grid.psi_shadow), axis=1)
+    psi = grid.pair.T
     for step in range(1, steps + 1):
         psi = forward.solve(back @ psi)
         if not np.all(np.isfinite(psi)):
@@ -203,8 +201,7 @@ def free_propagate(grid, duration):
     """
     k = 2.0 * np.pi * np.fft.fftfreq(grid.points, d=grid.dx)
     phase = np.exp(-1j * k ** 2 * duration / 2.0)
-    psi = np.stack((grid.psi_primary, grid.psi_shadow))
-    psi = np.fft.ifft(phase * np.fft.fft(psi, axis=-1), axis=-1)
+    psi = np.fft.ifft(phase * np.fft.fft(grid.pair, axis=-1), axis=-1)
     return WaveGrid(grid.x_min, grid.x_max, psi[0], psi[1], t=grid.t + duration)
 
 
@@ -242,6 +239,8 @@ class ZonePartition:
     def equal_zones(cls, points, k):
         if k < 2:
             raise ValueError("need at least two zones")
+        if k > points:
+            raise ValueError(f"{k} zones do not fit on a grid of {points} points")
         cuts = [points * i // k for i in range(1, k)]
         return cls(tuple(cuts))
 
@@ -271,7 +270,7 @@ def zone_profile(grid, partition, i):
 def collapse_to(grid, partition, zone):
     """Both wave functions confined to the zone in one atomic step."""
     prof = zone_profile(grid, partition, zone)
-    return WaveGrid(grid.x_min, grid.x_max, prof, prof.copy(), t=grid.t)
+    return WaveGrid(grid.x_min, grid.x_max, prof, prof, t=grid.t)
 
 
 def collapse_detect(grid, partition, rng=None):
@@ -301,7 +300,7 @@ class SlitGeometry:
             raise ValueError("far-field regime requires distance >> separation")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DoubleSlitResult:
     bin_edges: np.ndarray
     counts: np.ndarray

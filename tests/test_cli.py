@@ -381,6 +381,9 @@ def test_negative_infinity_reaches_the_grid_check(capsys):
     ["doubleslit", "--separation", "1e200", "--distance", "1e300", "--width", "1"],
     # 4 width^2 is below the smallest float
     ["doubleslit", "--width", "1e-200"],
+    # more zones than grid points
+    ["collapse", "--zones", "513", "--points", "512"],
+    ["collapse", "--zones", "600"],
 ])
 def test_bad_grid_inputs_exit_2_with_one_line(argv, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -431,7 +434,7 @@ def test_far_field_cell_narrower_than_the_slit_runs(tmp_path):
     (["teleport", "--shots", "200"], 15),
     (["swap", "--shots", "200"], 15),
     (["readout", "--shots", "550"], 7),
-    (["product", "--shots", "175"], 10),
+    (["product", "--shots", "175"], 8),
 ])
 def test_validated_register_builds_per_request(argv, builds, monkeypatch, tmp_path):
     # measurement records build their registers only when read: a request

@@ -2,8 +2,9 @@
 
 Every dual object (DualRegister, DualFockState, WaveGrid) and every builder
 that normalizes raw input (from_amplitudes, from_samples) must reject a NaN
-or inf anywhere in the primary or the shadow. The sampler must never return
-an outcome whose probability is round-off noise.
+or inf anywhere in the primary or the shadow. Each dual object holds its two
+records as one read-only pair. The sampler must never return an outcome whose
+probability is round-off noise.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from shadowsim.fock import DualFockState, ModeGrid
 from shadowsim.measurement import bell_measure, sample_outcome
+from shadowsim.protocols import teleport_decomposition
 from shadowsim.register import (
     TOLERANCES,
     BellKind,
@@ -20,7 +22,15 @@ from shadowsim.register import (
     check_dual,
     from_amplitudes,
 )
-from shadowsim.waves import WaveGrid, ZonePartition, collapse_detect, from_samples
+from shadowsim.waves import (
+    Potential,
+    SlitGeometry,
+    WaveGrid,
+    ZonePartition,
+    collapse_detect,
+    double_slit_accumulate,
+    from_samples,
+)
 
 NON_FINITE = st.sampled_from([
     complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0),
@@ -102,6 +112,66 @@ def test_check_dual_mirror_boundary(kind):
 def test_check_dual_shape_mismatch():
     with pytest.raises(ValueError):
         check_dual("register", [1.0, 0.0], [1.0, 0.0, 0.0], None)
+
+
+# --- the held pair ----------------------------------------------------------------
+
+FOCK_GRID = ModeGrid((0.0, 1.0), max_occupation=1)
+FOCK_KEYS = FOCK_GRID.basis_occupations()
+
+# per kind: a builder from primary and shadow arrays, a unit-norm primary, and
+# the names of the record fields that are the pair's rows (Fock records are maps)
+HELD = {
+    "register": (lambda p, s: DualRegister(2, p, s), np.full(4, 0.5, dtype=complex),
+                 ("primary", "shadow")),
+    "fock": (lambda p, s: DualFockState(FOCK_GRID, dict(zip(FOCK_KEYS, p)),
+                                        dict(zip(FOCK_KEYS, s))),
+             np.full(4, 0.5, dtype=complex), None),
+    "waves": (lambda p, s: WaveGrid(0.0, 2.0, p, s), np.full(32, 0.5 ** 0.5, dtype=complex),
+              ("psi_primary", "psi_shadow")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HELD))
+def test_dual_object_holds_one_read_only_pair(kind):
+    build, prim, fields = HELD[kind]
+    shad = prim.copy()
+    shad[1] += TOLERANCES[kind]["mirror"] / 2.0
+    state = build(prim, shad)
+    assert state.pair.shape == (2, prim.size)
+    assert not state.pair.flags.writeable
+    if fields is None:
+        keys = list(state.primary)
+        assert state.pair.tolist() == [[rec[k] for k in keys]
+                                       for rec in (state.primary, state.shadow)]
+    else:
+        for row, name in enumerate(fields):
+            record = getattr(state, name)
+            assert record.base is state.pair
+            assert np.shares_memory(record, state.pair[row])
+    held = state.pair.copy()
+    prim[:] = 0.0
+    shad[:] = 0.0
+    assert np.array_equal(state.pair, held)
+    assert state.mirror_deviation() == float(np.max(np.abs(held[0] - held[1])))
+    assert state.mirror_deviation() == pytest.approx(TOLERANCES[kind]["mirror"] / 2.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: bell_pair(BellKind.PHI_PLUS),
+    lambda: from_samples(0.0, 2.0, np.ones(32)),
+    lambda: bell_measure(bell_pair(BellKind.PHI_PLUS), (0, 1), StubRng(0.0)),
+    lambda: Potential(np.zeros(16)),
+    lambda: double_slit_accumulate(SlitGeometry(1.0, 0.1, 100.0), 20, 4,
+                                   np.random.default_rng(0)),
+    lambda: teleport_decomposition(0.6, 0.8j),
+], ids=["DualRegister", "WaveGrid", "MeasurementRecord", "Potential", "DoubleSlitResult",
+        "DecompositionReport"])
+def test_array_holding_dataclasses_compare_by_identity(make):
+    # a generated __eq__ would compare the arrays element-wise and raise
+    a, b = make(), make()
+    assert a == a and not a == b and a != b
+    assert len({a, b, a}) == 2
 
 
 # --- the outcome sampler ----------------------------------------------------------

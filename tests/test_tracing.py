@@ -27,6 +27,10 @@ def load_tracing():
     (["readout", "--shots", "50"], "protocols"),
     (["algebra", "--modes", "2", "--nmax", "2"], "fock"),
     (["collapse", "--shots", "200", "--points", "64"], "waves"),
+    (["evolve", "--points", "64", "--steps", "5"], "waves"),
+    (["doubleslit", "--shots", "200"], "waves"),
+    (["erratum"], "errata"),
+    (["product", "--shots", "20"], "protocols"),
 ])
 def test_request_runs_under_the_tracer(argv, layer, capsys):
     tracing = load_tracing()

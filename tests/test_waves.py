@@ -171,6 +171,13 @@ def test_partition_validation():
         part.slices(512)
 
 
+@pytest.mark.parametrize("zones", [513, 600])
+def test_more_zones_than_points_names_both_counts(zones):
+    with pytest.raises(ValueError, match=f"^{zones} zones do not fit on a grid of 512 points$"):
+        ZonePartition.equal_zones(512, zones)
+    assert ZonePartition.equal_zones(512, 512).zone_count == 512
+
+
 def test_symmetric_split_half_half():
     grid = gaussian_packet(-8, 8, 512, sigma=1.0)
     part = ZonePartition.equal_zones(512, 2)
