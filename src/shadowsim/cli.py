@@ -14,6 +14,8 @@ import functools
 import re
 import sys
 from dataclasses import dataclass
+# what json.dumps does with a str, without its dispatch
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -21,14 +23,16 @@ from . import fock, waves
 from .errata import build_erratum_report
 from .measurement import sample_outcome
 from .protocols import (
-    derive_correction_table,
+    CORRECTION_TABLES,
+    SWAP_OUTCOME_MAP,
     entangled_readout_demo,
     product_state_demo,
-    swap_outcome_map,
     swap_shots,
     teleportation_shots,
 )
-# not called here since the walker replaced them; bench/tracing.py wraps them
+# not called here since the walker and the literal tables replaced them;
+# bench/tracing.py wraps them
+from .protocols import derive_correction_table, swap_outcome_map  # noqa: F401
 from .protocols import run_entanglement_swap, run_teleportation  # noqa: F401
 from .register import TOLERANCES, BellKind, InvariantViolation
 
@@ -58,47 +62,83 @@ def _format_float(x):
     if x != x:
         raise ValueError("cannot serialize NaN")
     s = format(float(x), ".17g")
-    return s if any(c in s for c in ".einf") else s + ".0"
+    return s + ".0" if s.lstrip("-").isdigit() else s
 
 
 def to_json(obj, indent=0):
     """Deterministic JSON: insertion-ordered keys, 17-significant-digit
-    floats, complex numbers as [re, im] pairs."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = (
-            f'{inner}"{k}": {to_json(v, indent + 1)}' for k, v in obj.items()
-        )
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        return "[" + ", ".join(to_json(v, indent + 1) for v in obj) + "]"
-    if isinstance(obj, ShotRows):
-        # each path's row text once; per shot only the opening and its number
-        head = "{\n" + "  " * (indent + 2) + '"shot": '
-        tails = ["," + to_json(row, indent + 1)[1:] if row else "\n" + inner + "}"
-                 for row in obj.rows]
-        return "[" + ", ".join(head + str(s) + tails[i] for s, i in enumerate(obj.index)) + "]"
-    if isinstance(obj, np.ndarray):
-        return to_json(obj.tolist(), indent)
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        return f"[{_format_float(obj.real)}, {_format_float(obj.imag)}]"
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(obj)
-    if isinstance(obj, str):
-        import json
+    floats, complex numbers as [re, im] pairs. One pass appends every part
+    of the text to one list."""
+    out = []
+    _write(obj, indent, out)
+    return "".join(out)
 
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
+
+def _write(obj, indent, out):
+    """Append the JSON text of obj, nested `indent` levels deep, to out. Exact
+    types are tested first, the most frequent first; any other value is
+    written as the plain value _plain makes of it."""
+    t = type(obj)
+    if t is float:
+        out.append(_format_float(obj))
+    elif t is dict:
+        inner = "\n" + "  " * (indent + 1)
+        sep = "{" + inner
+        for k, v in obj.items():
+            out.append(sep + _json_str(f"{k}") + ": ")
+            _write(v, indent + 1, out)
+            sep = "," + inner
+        out.append("\n" + "  " * indent + "}" if obj else "{}")
+    elif t is list or t is tuple:
+        sep = "["
+        for v in obj:
+            out.append(sep)
+            _write(v, indent + 1, out)
+            sep = ", "
+        out.append("]" if obj else "[]")
+    elif t is str:
+        out.append(_json_str(obj))
+    elif t is bool:
+        out.append("true" if obj else "false")
+    elif t is int:
+        out.append(str(obj))
+    elif t is ShotRows:
+        # each path's row text once; per shot only the opening and its number
+        n = len(obj.index)
+        head = ", {\n" + "  " * (indent + 2) + '"shot": '
+        tails = ["," + to_json(row, indent + 1)[1:] if row else "\n" + "  " * (indent + 1) + "}"
+                 for row in obj.rows]
+        parts = [head] * (3 * n)
+        parts[1::3] = map(str, range(n))
+        parts[2::3] = [tails[i] for i in obj.index]
+        out += ["[", "".join(parts)[2:], "]"]
+    elif obj is None:
+        out.append("null")
+    else:
+        _write(_plain(obj), indent, out)
+
+
+def _plain(obj):
+    """The value of an exact JSON type that obj is written as: a subclass of a
+    JSON type, a numpy scalar or array, or a complex number as [re, im]. The
+    tests run in the order the types nest: bool before int, complex before
+    float."""
+    if isinstance(obj, dict):
+        return dict(obj)
+    if isinstance(obj, (list, tuple)):
+        return list(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    if isinstance(obj, str):
+        return str.__str__(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -145,8 +185,8 @@ def _parse_complex(text):
 
 def _cmd_teleport(args, rng):
     resource = RESOURCE_NAMES[args.resource]
-    table = derive_correction_table(resource)
-    paths, index = teleportation_shots(args.alpha, args.beta, resource, args.shots, rng, table)
+    paths, index = teleportation_shots(args.alpha, args.beta, resource, args.shots, rng,
+                                       CORRECTION_TABLES[resource])
     shots = ShotRows([{"outcome": r.outcome.value, "probability": r.probability,
                        "fidelity": r.fidelity_with_input} for r in paths], index.tolist())
     worst_fid = min([1.0] + [r.fidelity_with_input for r in paths])
@@ -160,8 +200,7 @@ def _cmd_teleport(args, rng):
 
 
 def _cmd_swap(args, rng):
-    mapping = swap_outcome_map()
-    paths, index = swap_shots(args.shots, rng, mapping)
+    paths, index = swap_shots(args.shots, rng, SWAP_OUTCOME_MAP)
     shots = ShotRows([{"outcome": r.outcome.value,
                        "remote_kind": r.predicted_remote_kind.value,
                        "fidelity": r.fidelity_with_prediction} for r in paths], index.tolist())
@@ -175,7 +214,7 @@ def _cmd_swap(args, rng):
     results = {
         "shots": shots,
         "outcome_counts": counts,
-        "outcome_map": {k.value: v.value for k, v in mapping.items()},
+        "outcome_map": {k.value: v.value for k, v in SWAP_OUTCOME_MAP.items()},
         "min_fidelity": worst_fid,
     }
     invariants = {

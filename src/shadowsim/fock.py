@@ -79,7 +79,7 @@ class DispersionParams:
         return np.sqrt(p * p * self.c ** 2 + self.mass ** 2 * self.c ** 4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualFockState:
     """Occupation-number amplitudes with a mirrored shadow register."""
 

@@ -1,8 +1,9 @@
 """Projective measurement in any orthonormal basis of one or two qubits.
 
-One kernel serves every measurement: ``_project`` contracts an outcome ket
-with the target qubits of a register's held primary/shadow pair and ``_embed``
-puts it back. One walker, ``measure_shots``, runs a sequence of measurement steps
+One kernel serves every measurement: ``_contract`` contracts the bras of a
+basis with the target qubits of a register's held primary/shadow pair in one
+matrix product, and ``_embed`` puts an outcome ket back. One walker,
+``measure_shots``, runs a sequence of measurement steps
 (``Z_BASIS``, ``X_BASIS``, any 2x2 basis, or ``BELL_BASIS`` on a pair) for
 many shots at once, collapsing both registers once per distinct outcome path;
 ``projective_measure`` and ``bell_measure`` are its one-shot case. It checks
@@ -22,7 +23,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .register import (BellKind, DualRegister, HADAMARD, check_targets,
-                       check_unitary, from_amplitudes, read_only, targets_first)
+                       check_unitary, from_amplitudes, l2_norm, read_only,
+                       targets_first)
 
 # columns are the outcome states
 Z_BASIS = np.eye(2, dtype=complex)
@@ -50,7 +52,7 @@ class MeasurementRecord:
         """The collapsed register: the outcome ket on the targets, tensored
         with the normalized conditional pair."""
         n = self.qubit_count
-        post = _embed(self.cond, n, self.targets, self.ket) / np.linalg.norm(self.cond[0])
+        post = _embed(self.cond, n, self.targets, self.ket) / l2_norm(self.cond[0])
         return DualRegister(n, post[0], post[1])
 
     @property
@@ -70,48 +72,47 @@ def sample_outcome(u, probs):
     When rounding leaves u >= sum(probs), the last outcome whose probability
     is above round-off, never a zero-weight one."""
     probs = np.asarray(probs, dtype=float)
-    k = np.searchsorted(np.cumsum(probs), u, side="right")
-    floor = probs.size * np.finfo(float).eps * probs.max()
-    k = np.where(k < probs.size, k, np.flatnonzero(probs > floor)[-1])
+    k = probs.cumsum().searchsorted(u, side="right")
+    if (k == probs.size).any():
+        floor = probs.size * np.finfo(float).eps * probs.max()
+        k = np.where(k < probs.size, k, np.flatnonzero(probs > floor)[-1])
     return k if np.ndim(u) else int(k)
 
 
-def _project(vecs, n, targets, ket):
-    """Contract <ket| with the target qubits of every row of vecs, shape
-    (..., 2**n): the unnormalized amplitudes of the other qubits, shape
-    (..., 2**(n - len(targets))). This is the one matrix product
-    np.tensordot(bra, vecs, target axes) makes, without its argument handling."""
+def _contract(vecs, n, targets, basis):
+    """Contract the bra of every column of basis with the target qubits of
+    every row of vecs, shape (..., 2**n), in one matrix product: the
+    unnormalized amplitudes of the other qubits, shape
+    (k, ..., 2**(n - len(targets))) for k columns."""
     vecs = np.asarray(vecs, dtype=complex)
     lead = vecs.shape[:-1]
     a = vecs.reshape(lead + (2,) * n).transpose(targets_first(lead, n, targets)[0])
-    out = np.dot(np.conj(ket).reshape(1, -1), a.reshape(2 ** len(targets), -1))
-    return out.reshape(lead + (-1,))
+    out = np.dot(np.conj(basis).T, a.reshape(2 ** len(targets), -1))
+    return out.reshape((-1,) + lead + (2 ** (n - len(targets)),))
 
 
 def _embed(conds, n, targets, ket):
-    """Inverse of _project: |ket> on the target qubits, tensored with every
-    row of conds in the order of the other qubits. The outer product is the
-    one np.tensordot(ket, conds, axes=0) makes."""
+    """Inverse of _contract for one ket: |ket> on the target qubits, tensored
+    with every row of conds in the order of the other qubits. The outer
+    product is the one np.tensordot(ket, conds, axes=0) makes."""
     conds = np.asarray(conds)
     lead = conds.shape[:-1]
     t = len(targets)
-    a = np.dot(np.reshape(ket, (2,) * t).reshape(2 ** t, 1), conds.reshape(1, -1))
+    a = np.dot(np.asarray(ket).reshape(2 ** t, 1), conds.reshape(1, -1))
     back = targets_first(lead, n, targets)[1]
     return a.reshape((2,) * t + lead + (2,) * (n - t)).transpose(back).reshape(lead + (-1,))
 
 
 def _branches(state, targets, basis):
-    """Read-only conditional pair for each basis column, and Born
-    probabilities."""
-    pair = state.pair
-    conds = [_project(pair, state.qubit_count, targets, basis[:, k])
-             for k in range(basis.shape[1])]
-    return [read_only(c) for c in conds], [float(np.sum(np.abs(c[0]) ** 2)) for c in conds]
+    """The read-only (k, 2, rest) stack of conditional pairs, one per basis
+    column, from one product, and their Born probabilities."""
+    conds = read_only(_contract(state.pair, state.qubit_count, targets, basis))
+    return conds, (np.abs(conds[:, 0]) ** 2).sum(axis=1).tolist()
 
 
 def _remote_register(cond):
     """The unmeasured qubits' register from conditional amplitudes, if any."""
-    if cond.size < 2 or np.linalg.norm(cond) == 0.0:
+    if cond.size < 2 or l2_norm(cond) == 0.0:
         return None
     return from_amplitudes(cond, cond.size.bit_length() - 1)
 
@@ -142,12 +143,12 @@ def _walk(state, steps, u):
     the next step on it."""
     (targets, basis, labels), rest = steps[0], steps[1:]
     conds, probs = _branches(state, targets, basis)
-    outcomes, shot_outcome = np.unique(sample_outcome(u[:, 0], probs), return_inverse=True)
+    drawn = sample_outcome(u[:, 0], probs)
     paths, index = [], np.empty(len(u), dtype=int)
-    for j, k in enumerate(outcomes):
+    for k in np.bincount(drawn).nonzero()[0].tolist():
         record = MeasurementRecord(labels[k], probs[k], conds[k], state.qubit_count,
                                    targets, basis[:, k])
-        shots = shot_outcome == j
+        shots = drawn == k
         tails, tail_index = [()], 0
         if rest:
             tails, tail_index = _walk(record.post_state, rest, u[shots, 1:])

@@ -9,7 +9,7 @@ and the readout demos count shots per path from the same index.
 
 The module also contains the brute-force Bell-decomposition oracle: any state
 is expanded branch-by-branch through the same projection kernel the Bell
-measurement uses (``measurement._project`` and ``_embed``), and the derived
+measurement uses (``measurement._contract`` and ``_embed``), and the derived
 branches are compared against hard-coded printed branch expressions.
 Mismatches surface in the erratum report rather than being corrected silently.
 """
@@ -17,11 +17,12 @@ Mismatches surface in the erratum report rather than being corrected silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .measurement import (BELL_BASIS, BELL_LABELS, X_BASIS, Z_BASIS, _embed,
-                          _project, measure_shots)
+                          _contract, measure_shots)
 # not called here since the walker replaced them; bench/tracing.py wraps them
 from .measurement import bell_measure, projective_measure  # noqa: F401
 from .register import (
@@ -60,7 +61,7 @@ def phase_invariant_distance(u, v):
 
 def bell_branches(vec, n, pair):
     """Unnormalized conditional vectors of the remaining qubits per Bell kind."""
-    return {kind: _project(vec, n, pair, kind.amplitudes()) for kind in BellKind}
+    return dict(zip(BellKind, _contract(vec, n, pair, BELL_BASIS)))
 
 
 def reassemble_branches(branches, n, pair):
@@ -205,6 +206,23 @@ def derive_correction_table(resource: BellKind, rng=None):
     return unitaries
 
 
+# each resource's correction table, {outcome: unitary}, as the indices of its
+# unitaries in _PAULI_GROUP (0: I, 4: X, 8: Y, 12: Z) in BellKind order of
+# the outcome; derive_correction_table(resource) is the check, not the source
+CORRECTION_TABLES = MappingProxyType({
+    resource: MappingProxyType({kind: _PAULI_GROUP[i] for kind, i in zip(BellKind, row)})
+    for resource, row in (
+        (BellKind.PHI_PLUS, (0, 12, 4, 8)),
+        (BellKind.PHI_MINUS, (12, 0, 8, 4)),
+        (BellKind.PSI_PLUS, (4, 8, 0, 12)),
+        (BellKind.PSI_MINUS, (8, 4, 12, 0)),
+    )})
+
+# Bell kind measured on the middle pair of two singlets -> Bell kind left on
+# the outer pair: always the same kind; swap_outcome_map() is the check
+SWAP_OUTCOME_MAP = MappingProxyType({kind: kind for kind in BellKind})
+
+
 # ---------------------------------------------------------------------------
 # protocol runs
 
@@ -242,10 +260,11 @@ def teleportation_shots(alpha, beta, resource, shots, rng, table):
 
 
 def run_teleportation(alpha, beta, resource=BellKind.PHI_MINUS, rng=None, table=None):
-    """One shot of teleportation_shots; derives the table if none is given."""
+    """One shot of teleportation_shots; the resource's CORRECTION_TABLES entry
+    if no table is given."""
     rng = rng or np.random.default_rng()
     if table is None:
-        table = derive_correction_table(resource)
+        table = CORRECTION_TABLES[resource]
     results, index = teleportation_shots(alpha, beta, resource, 1, rng, table)
     return results[index[0]]
 
@@ -287,10 +306,10 @@ def swap_shots(shots, rng, outcome_map):
 
 
 def run_entanglement_swap(rng=None, outcome_map=None):
-    """One shot of swap_shots; derives the outcome map if none is given."""
+    """One shot of swap_shots; SWAP_OUTCOME_MAP if no outcome map is given."""
     rng = rng or np.random.default_rng()
     if outcome_map is None:
-        outcome_map = swap_outcome_map()
+        outcome_map = SWAP_OUTCOME_MAP
     results, index = swap_shots(1, rng, outcome_map)
     return results[index[0]]
 

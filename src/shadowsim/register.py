@@ -15,6 +15,7 @@ are its two records; operations act on it in one call, so both change together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -33,6 +34,13 @@ UNITARY_TOL = 1e-10
 
 class InvariantViolation(ValueError):
     """A dual object broke its mirror or norm contract."""
+
+
+def l2_norm(vec):
+    """The 2-norm of a 1-D complex array: np.linalg.norm's own arithmetic,
+    sqrt(re.re + im.im), bit for bit, without its argument dispatch."""
+    re, im = vec.real, vec.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def read_only(a):
@@ -58,11 +66,10 @@ def check_dual(kind, primary, shadow, norm):
     the primary and row 1 of the shadow, after checking its mirror contract;
     `norm` maps the primary to the quantity that must equal one, None where
     unnormalized states are allowed."""
-    prim = np.asarray(primary, dtype=complex)
-    shad = np.asarray(shadow, dtype=complex)
-    if shad.shape != prim.shape:
-        raise ValueError(f"{kind}: shadow has shape {shad.shape}, primary {prim.shape}")
-    pair = np.array((prim, shad))
+    if np.shape(shadow) != np.shape(primary):
+        raise ValueError(f"{kind}: shadow has shape {np.shape(shadow)}, "
+                         f"primary {np.shape(primary)}")
+    pair = np.array((primary, shadow), dtype=complex)
     residuals = [("mirror", _mirror_residual(pair))]
     if norm is not None:
         residuals.append(("norm", abs(norm(pair[0]) - 1.0)))
@@ -88,7 +95,7 @@ def check_unitary(u, d, what):
     u = np.asarray(u, dtype=complex)
     if u.shape != (d, d):
         raise ValueError(f"{what} must be {d}x{d}")
-    if not np.max(np.abs(u.conj().T @ u - np.eye(d))) <= UNITARY_TOL:
+    if not np.abs(u.conj().T @ u - np.eye(d)).max() <= UNITARY_TOL:
         raise ValueError(f"{what} is not unitary")
     return u
 
@@ -127,7 +134,7 @@ class DualRegister:
             raise ValueError("qubit_count must be positive")
         if np.shape(self.primary) != (2 ** self.qubit_count,):
             raise ValueError("amplitude vector length must be 2**qubit_count")
-        pair = check_dual("register", self.primary, self.shadow, np.linalg.norm)
+        pair = check_dual("register", self.primary, self.shadow, l2_norm)
         vars(self).update(pair=pair, primary=pair[0], shadow=pair[1])
 
     mirror_deviation = mirror_deviation
@@ -138,7 +145,7 @@ def scaled(values):
     the largest magnitude: an exact scale after which norms of tiny or huge
     values neither underflow nor overflow."""
     vec = np.asarray(values, dtype=complex)
-    exponent = np.frexp(np.max(np.abs(vec)))[1]
+    exponent = math.frexp(np.abs(vec).max())[1]
     return np.ldexp(np.ascontiguousarray(vec).view(float), -exponent).view(complex), exponent
 
 
@@ -159,7 +166,7 @@ def from_amplitudes(coeffs, qubit_count):
             f"expected {2 ** qubit_count} coefficients for {qubit_count} qubits, "
             f"got {vec.shape}"
         )
-    vec = normalized(vec, np.linalg.norm, "coefficients")
+    vec = normalized(vec, l2_norm, "coefficients")
     return DualRegister(qubit_count, vec, vec)
 
 

@@ -45,6 +45,73 @@ def test_json_round_trips():
     assert json.loads(to_json(doc)) == doc
 
 
+# an independent oracle for to_json: the value json.loads must give back, with
+# complex numbers as [re, im], tuples as lists and numpy scalars as Python ones
+JSON_SCALARS = st.one_of(
+    st.text(),
+    st.booleans(),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308, 1e16, 123.0]),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.none(),
+    st.booleans().map(np.bool_),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+    st.complex_numbers(allow_nan=False, allow_infinity=False).map(np.complex128),
+)
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=6), inner, max_size=4),
+), max_leaves=24)
+
+
+def json_expected(x):
+    if isinstance(x, dict):
+        return {k: json_expected(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [json_expected(v) for v in x]
+    if isinstance(x, (complex, np.complexfloating)):
+        return [float(x.real), float(x.imag)]
+    if isinstance(x, np.generic):
+        return x.item()
+    return x
+
+
+def same_json(a, b):
+    """a == b with equal types throughout, keys in the same order, and floats
+    equal bit for bit (so -0.0 is not 0.0)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_json, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_json(a[k], b[k]) for k in a)
+    return a == b
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES, st.integers(0, 3))
+def test_json_writer_against_the_stdlib_reader(value, indent):
+    text = to_json(value, indent)
+    assert same_json(json.loads(text), json_expected(value)), text
+
+
+@pytest.mark.parametrize("value", [
+    float("nan"), np.float64("nan"), np.float32("nan"), complex(1.0, float("nan")),
+    np.complex128(complex(float("nan"), 0.0)), [1.0, float("nan")], {"a": {"b": float("nan")}},
+    (float("nan"),), ShotRows([{"p": float("nan")}], [0, 0]),
+])
+def test_json_writer_rejects_nan(value):
+    with pytest.raises(ValueError, match="NaN"):
+        to_json(value)
+
+
 def test_csv_header_and_rows():
     text = to_csv(["a", "b"], [{"a": 1, "b": 0.5}])
     lines = text.splitlines()

@@ -64,6 +64,12 @@ CASES = {
     "collapse-csv": ["collapse", "--shots", "300", "--format", "csv"],
     "doubleslit-csv": ["doubleslit", "--shots", "500", "--bins", "32", "--format", "csv"],
     "erratum-csv": ["erratum", "--format", "csv"],
+    # digests taken at commit 2d601bcacba47a20d364d29ac6c936ace5287218, where
+    # each request still derived its correction table or swap outcome map
+    "teleport-phi-plus": ["teleport", "--shots", "50", "--resource", "phi-plus"],
+    "teleport-psi-plus": ["teleport", "--shots", "50", "--resource", "psi-plus"],
+    "teleport-psi-minus": ["teleport", "--shots", "50", "--resource", "psi-minus"],
+    "swap-400": ["swap", "--shots", "400"],
 }
 
 DIGESTS = {
@@ -131,6 +137,14 @@ DIGESTS = {
     "product-csv/2": "419752b0e418d0063608633e0fe185a93621fd8749baba1b0e09b920fa097ffa",
     "readout-csv/1": "e978c9225df018dfd19d5d2356a32c965d4feb3d0cd24150d4f86c5d082ca5f2",
     "readout-csv/2": "3f4e18b5ee37360e9643a7f3fb6e49945efa46a6c4d62a74597e2d9e6f8b00d4",
+    "teleport-phi-plus/1": "67e1fdac34ac55dda868cc40c999de4d8cda7e57a7823f2549ff00189df3d21a",
+    "teleport-phi-plus/2": "0be1e45d58c4fb9c1fcc70b62685b588a7deb90b840e95ae854b3ed6e019260e",
+    "teleport-psi-plus/1": "66d94f45e33aa415b09b871dc337fa85c7f27c34004bef5883ff3e98079ee158",
+    "teleport-psi-plus/2": "9e5810bdde04b376dcc0b0d4185e786e6853e4acee807f0d255c48f579aa8f23",
+    "teleport-psi-minus/1": "e94ebeacfe7d8bcd1ebde53a5b3c3fe4eb3a57182441620d75f16cd7e9f6e0c8",
+    "teleport-psi-minus/2": "1939a6a90921966ebdc008d67133143ab98e510feb2db63fae8f5458b6d8c122",
+    "swap-400/1": "baf94b6efcf095fb727024e7abe7a312a48ab0220e09df865ca966eb8d1b0d0d",
+    "swap-400/2": "33cb091ec11e8dcc05094d4d73dd89ce2ccd4f319f257b97a0aeed273f881d74",
 
 }
 

@@ -3,6 +3,8 @@ import pytest
 from scipy import stats
 
 from shadowsim.protocols import (
+    CORRECTION_TABLES,
+    SWAP_OUTCOME_MAP,
     bell_branches,
     derive_correction_table,
     entangled_readout_demo,
@@ -143,6 +145,25 @@ def test_correction_table_pinned_exactly(resource):
     assert list(table) == list(BellKind)
     for kind in BellKind:
         np.testing.assert_array_equal(table[kind], PINNED_TABLES[resource][kind])
+
+
+@pytest.mark.parametrize("resource", list(BellKind))
+def test_literal_table_equals_its_derivation(resource):
+    # every request reads the constant; the derivation is its check
+    table, derived = CORRECTION_TABLES[resource], derive_correction_table(resource)
+    assert list(table) == list(derived) == list(BellKind)
+    for kind in BellKind:
+        assert table[kind].dtype == derived[kind].dtype
+        np.testing.assert_array_equal(table[kind], derived[kind])
+        assert not table[kind].flags.writeable
+    with pytest.raises(TypeError):
+        table[BellKind.PHI_PLUS] = PAULI_I
+
+
+def test_literal_swap_map_equals_its_derivation():
+    assert list(SWAP_OUTCOME_MAP.items()) == list(swap_outcome_map().items())
+    with pytest.raises(TypeError):
+        SWAP_OUTCOME_MAP[BellKind.PHI_PLUS] = BellKind.PSI_MINUS
 
 
 def test_correction_tables_pass_the_probe_check_under_any_rng():

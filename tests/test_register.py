@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shadowsim.register import (
     BellKind,
@@ -10,6 +11,8 @@ from shadowsim.register import (
     bell_pair,
     fidelity,
     from_amplitudes,
+    l2_norm,
+    scaled,
     tensor,
 )
 
@@ -58,6 +61,28 @@ def test_power_of_two_scaling_keeps_plain_normalization_bits():
     for n in (1, 2, 3):
         vec = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
         assert np.array_equal(from_amplitudes(vec, n).primary, vec / np.linalg.norm(vec))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False), max_size=9),
+       st.sampled_from([1.0, 1e-160, 1e160, 1e300]))
+def test_l2_norm_is_numpys_norm_bit_for_bit(values, scale):
+    # the oracle is np.linalg.norm itself; an overflow to inf must match too
+    with np.errstate(over="ignore"):
+        vec = np.array(values, dtype=complex) * scale
+        assert l2_norm(vec) == np.linalg.norm(vec)
+        assert l2_norm(vec[::2]) == np.linalg.norm(vec[::2])  # a strided view
+
+
+@pytest.mark.parametrize("value", [0.0, 5e-324, 1e-310, 0.75, 1.0, 3.0, 1e308,
+                                   float("inf"), float("nan")])
+def test_scaled_exponent_is_numpys_frexp(value):
+    # the exponent from math.frexp equals np.frexp's, inf and NaN included
+    vec, exponent = scaled([value, 0.5 * value])
+    assert exponent == int(np.frexp(abs(value))[1])
+    with np.errstate(invalid="ignore"):
+        want = np.ldexp(np.array([value, 0.5 * value]), -exponent)
+    np.testing.assert_array_equal(vec.real, want)
 
 
 def test_zero_vector_rejected():
