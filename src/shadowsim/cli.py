@@ -121,8 +121,8 @@ def _write(obj, indent, out):
 def _plain(obj):
     """The value of an exact JSON type that obj is written as: a subclass of a
     JSON type, a numpy scalar or array, or a complex number as [re, im]. The
-    tests run in the order the types nest: bool before int, complex before
-    float."""
+    isinstance checks run in the order the types nest: bool before int,
+    complex before float."""
     if isinstance(obj, dict):
         return dict(obj)
     if isinstance(obj, (list, tuple)):
