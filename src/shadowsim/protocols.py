@@ -21,8 +21,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .measurement import (BELL_BASIS, BELL_LABELS, X_BASIS, Z_BASIS, _embed,
-                          _contract, measure_shots)
+from .measurement import (BELL_BASIS, BELL_LABELS, X_BASIS, Z_BASIS, _contract,
+                          _embed, measure_shots)
 # not called here since the walker replaced them; bench/tracing.py wraps them
 from .measurement import bell_measure, projective_measure  # noqa: F401
 from .register import (
