@@ -1,30 +1,33 @@
 """Truncated Fock space over a finite momentum grid with shadow bookkeeping.
 
-States are maps from occupation tuples to complex amplitudes, stored twice:
-a primary register and a mirrored shadow register that every operation
-updates in the same step.  ``DualFockState`` keeps the mirror contract of
-``register.check_dual``; its held ``pair`` has both maps' amplitudes in key order.
+A ``DualFockState`` holds the sorted basis indices of its occupations,
+``index``, and the read-only ``(2, K)`` pair of ``register.check_dual``, whose
+columns follow ``index``: row 0 the primary amplitudes, row 1 the mirrored
+shadow.  Its ``primary`` and ``shadow`` maps from occupation tuples are built
+on read.  An occupation's basis index is its dot product with ``_place_values``.
 
-One ladder rule, ``_ladder``, acts on rows of an integer occupation array:
-``_apply_ladder`` runs it on a state's keys, and ``_ladder_map`` on the basis
-digits (``_digits``), giving a column map: column ``c`` goes to row
-``rows[c]`` (-1 for none) with factor ``factors[c]``.  ``annihilation_matrix``
-scatters it into a dense matrix; the (anti)commutator residuals compose maps
-by index gathers, merge each column's at most three candidates on equal rows,
-keep the guarded sector (a boolean mask of the states the cutoff cannot
-touch) and report sqrt(||A||_1 ||A||_inf), which is the spectral norm of
-these residual blocks (one entry per row and column at most) and bounds it.
-``bracket_residuals`` gives every mode pair's residuals of a grid from one
-mask and one lowering and one raising map per mode.
+One ladder rule, ``_ladder``, acts on rows of an integer occupation array
+(``_digits`` of basis indices).  ``_apply_ladder`` runs it on a state's
+indices and shifts the kept ones by ``delta * place[mode]``, which keeps them
+sorted; ``_ladder_map`` runs it on the whole basis, giving a column map:
+column ``c`` goes to row ``rows[c]`` (-1 for none) with factor ``factors[c]``.
+``annihilation_matrix`` scatters it into a dense matrix; the (anti)commutator
+residuals compose maps by index gathers, merge each column's at most three
+candidates on equal rows, keep the guarded sector (a boolean mask of the
+states the cutoff cannot touch) and report sqrt(||A||_1 ||A||_inf), which is
+the spectral norm of these residual blocks (one entry per row and column at
+most) and bounds it.  ``bracket_residuals`` gives every mode pair's residuals
+of a grid from one mask and one lowering and one raising map per mode.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .register import check_dual, mirror_deviation, normalized, scaled
+from .register import check_dual, mirror_deviation, normalized, read_only, scaled
 
 @dataclass(frozen=True)
 class ModeGrid:
@@ -38,14 +41,22 @@ class ModeGrid:
         object.__setattr__(self, "momenta", tuple(float(p) for p in self.momenta))
         if len(self.momenta) == 0:
             raise ValueError("mode grid needs at least one momentum")
+        if not np.isfinite(self.momenta).all():
+            raise ValueError(f"momenta must be finite, got {self.momenta}")
         if any(b <= a for a, b in zip(self.momenta, self.momenta[1:])):
             raise ValueError("momenta must be strictly increasing")
+        if not isinstance(self.max_occupation, numbers.Integral):
+            raise ValueError(f"max_occupation must be an integer, got {self.max_occupation!r}")
+        object.__setattr__(self, "max_occupation", int(self.max_occupation))
         if self.statistics not in ("boson", "fermion"):
             raise ValueError(f"unknown statistics {self.statistics!r}")
         if self.statistics == "fermion" and self.max_occupation != 1:
             raise ValueError("fermion statistics forces max_occupation = 1")
         if self.max_occupation < 1:
             raise ValueError("max_occupation must be positive")
+        if self.dim > 2 ** 63:
+            raise ValueError(f"mode grid dimension {self.dim} exceeds 2**63, "
+                             "the range of its 64-bit basis indices")
 
     @property
     def mode_count(self):
@@ -72,41 +83,57 @@ class DispersionParams:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.mass <= 0 or self.c <= 0:
-            raise ValueError("mass and c must be positive")
+        if not (0 < self.mass < np.inf and 0 < self.c < np.inf):
+            raise ValueError("mass and c must be positive and finite")
 
     def energy(self, p):
         return np.sqrt(p * p * self.c ** 2 + self.mass ** 2 * self.c ** 4)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DualFockState:
-    """Occupation-number amplitudes with a mirrored shadow register."""
+    """Occupation-number amplitudes with a mirrored shadow register: the sorted
+    basis indices of the occupations held, and the pair whose columns follow them."""
 
     grid: ModeGrid
-    primary: dict
-    shadow: dict
+    index: np.ndarray
+    pair: np.ndarray
 
-    def __post_init__(self):
-        if set(self.primary) != set(self.shadow):
+    def __init__(self, grid: ModeGrid, primary: dict, shadow: dict) -> None:
+        if primary.keys() != shadow.keys():
             raise ValueError("primary and shadow key sets differ")
-        for occ in self.primary:
-            if len(occ) != self.grid.mode_count:
-                raise ValueError(f"occupation tuple {occ} has wrong length")
-            if any(n < 0 or n > self.grid.max_occupation for n in occ):
-                raise ValueError(f"occupation tuple {occ} out of range")
-        vars(self).update(pair=check_dual(
-            "fock", list(self.primary.values()), [self.shadow[k] for k in self.primary], None))
+        index = _basis_index(grid, list(primary))
+        order = np.argsort(index)
+        amps = np.array([list(primary.values()), [shadow[k] for k in primary]], dtype=complex)
+        self.__post_init__(grid, index[order], *amps[:, order])
+
+    def __post_init__(self, grid, index, primary, shadow):
+        # every build ends here, ladder results and normalized copies included:
+        # bench/tracing.py counts Fock states by wrapping this method
+        vars(self).update(grid=grid, index=read_only(index),
+                          pair=check_dual("fock", primary, shadow, None))
 
     mirror_deviation = mirror_deviation
+
+    def _record(self, row):
+        """Row `row` of the pair keyed by occupation tuple, in index order."""
+        occs = map(tuple, _digits(self.grid, self.index).tolist())
+        return dict(zip(occs, self.pair[row].tolist()))
+
+    primary = property(lambda self: self._record(0))
+    shadow = property(lambda self: self._record(1))
 
     @property
     def is_zero(self):
         """True for the zero vector, which has no stored amplitudes."""
-        return not self.primary
+        return self.index.size == 0
 
     def amplitude(self, occ):
-        return self.primary.get(tuple(occ), 0j)
+        """The primary amplitude of an occupation tuple of the grid, 0j where none
+        is held; a tuple off the grid raises, as the constructor does."""
+        (key,) = _basis_index(self.grid, [tuple(occ)])
+        pos = np.searchsorted(self.index, key)
+        return complex(self.pair[0, pos]) if key in self.index[pos:pos + 1] else 0j
 
     def norm(self):
         if self.is_zero:
@@ -114,28 +141,45 @@ class DualFockState:
         vec, exponent = scaled(self.pair[0])
         return float(np.ldexp(np.linalg.norm(vec), exponent))
 
-    def _occupations(self):
-        """The primary's keys as rows of an integer array."""
-        return np.array(list(self.primary), dtype=int).reshape(-1, self.grid.mode_count)
-
     def normalized(self):
         if self.is_zero:
             raise ValueError("cannot normalize the zero vector")
         amps = normalized(self.pair[0], np.linalg.norm, "a Fock state")
-        prim = dict(zip(self.primary, amps.tolist()))
-        return DualFockState(self.grid, prim, dict(prim))
+        return _held(self.grid, self.index, amps)
 
     def to_vector(self):
         """Dense primary amplitude vector in basis_occupations() order."""
         vec = np.zeros(self.grid.dim, dtype=complex)
-        vec[self._occupations() @ _place_values(self.grid)] = self.pair[0]
+        vec[self.index] = self.pair[0]
         return vec
 
 
+def _held(grid, index, amps):
+    """The state holding `amps` on the sorted basis indices `index`: one
+    physical amplitude per entry, mirrored into both rows."""
+    state = object.__new__(DualFockState)
+    state.__post_init__(grid, index, amps, amps)
+    return state
+
+
+def _basis_index(grid, occs):
+    """Basis indices of a list of occupation tuples, each checked to hold one
+    integer occupation in [0, max_occupation] per mode."""
+
+    def reject(bad, what):
+        if bad.any():
+            raise ValueError(f"occupation tuple {occs[bad.argmax()]} {what}")
+
+    reject(np.fromiter(map(len, occs), int, len(occs)) != grid.mode_count, "has wrong length")
+    occ = np.array(occs, dtype=float).reshape(len(occs), grid.mode_count)
+    reject((occ != np.floor(occ)).any(axis=1), "is not an integer occupation")
+    reject(((occ < 0) | (occ > grid.max_occupation)).any(axis=1), "out of range")
+    return occ.astype(int) @ _place_values(grid)
+
+
 def vacuum(grid):
-    """Dual state with unit amplitude on the all-zeros occupation tuple."""
-    occ = (0,) * grid.mode_count
-    return DualFockState(grid, {occ: 1 + 0j}, {occ: 1 + 0j})
+    """Dual state with unit amplitude on the all-zeros occupation tuple, basis index 0."""
+    return _held(grid, np.zeros(1, dtype=int), np.ones(1, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +192,10 @@ def _place_values(grid):
     return grid.mode_dim ** np.arange(grid.mode_count - 1, -1, -1)
 
 
-def _digits(grid):
-    """Occupations of every basis state: row c is column c's tuple."""
-    return (np.arange(grid.dim)[:, None] // _place_values(grid)) % grid.mode_dim
+def _digits(grid, index=None):
+    """Occupations of the basis states `index` (all by default): row c is index[c]'s."""
+    index = np.arange(grid.dim) if index is None else index
+    return (index[:, None] // _place_values(grid)) % grid.mode_dim
 
 
 def _ladder(grid, occ, mode, delta):
@@ -169,15 +214,13 @@ def _ladder(grid, occ, mode, delta):
 
 def _apply_ladder(state, mode, delta, normalize):
     grid = state.grid
-    occ = state._occupations()
-    hit, factor = _ladder(grid, occ, mode, delta)
-    occ[:, mode] += delta
+    hit, factor = _ladder(grid, _digits(grid, state.index), mode, delta)
     amps = factor * state.pair[0]
-    out = {tuple(o): a for o, a, h in zip(occ.tolist(), amps.tolist(), hit.tolist())
-           if h and a != 0}
+    keep = hit & (amps != 0)
     # the single physical amplitude is shared by both registers: every scalar
-    # factor is applied once, then the shadow map is mirrored entry-for-entry
-    out = DualFockState(grid, out, dict(out))
+    # factor is applied once, then mirrored into the shadow row; a shift keeps
+    # the indices sorted
+    out = _held(grid, state.index[keep] + delta * _place_values(grid)[mode], amps[keep])
     return out.normalized() if normalize and not out.is_zero else out
 
 
@@ -336,8 +379,5 @@ def position_create(grid, x, t, params=None, relativistic=False):
     params = params or DispersionParams()
     amps = normalized(position_amplitudes(grid, x, t, params, relativistic), np.linalg.norm,
                       "position amplitudes")
-    prim = {}
-    for k, a in enumerate(amps):
-        occ = tuple(1 if m == k else 0 for m in range(grid.mode_count))
-        prim[occ] = complex(a)
-    return DualFockState(grid, prim, dict(prim))
+    # one quantum in mode k has basis index place[k], which falls as k rises
+    return _held(grid, _place_values(grid)[::-1], amps[::-1])

@@ -4,8 +4,11 @@ The oracle matrices here are constructed from scratch (plain kron products)
 so they do not share code with the map-based operator implementation.
 """
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from shadowsim import fock
 from shadowsim.fock import (
@@ -82,6 +85,38 @@ def test_grid_validation():
         ModeGrid((0.0,), 2, "fermion")  # fermions force nmax = 1
     with pytest.raises(ValueError):
         ModeGrid((), 2, "boson")
+    for momenta, nmax in [
+        ((0.0, 1.0), 2.5),        # a fractional cutoff gave dim 12.25
+        ((0.0, np.nan), 2),       # NaN compares false, so it looked increasing
+        ((0.0, np.inf), 2),
+        ((-np.inf, 0.0), 2),
+        (tuple(range(28)), 4),    # 5**28 states: basis indices past 64 bits wrapped
+    ]:
+        with pytest.raises(ValueError):
+            ModeGrid(momenta, nmax, "boson")
+
+
+@pytest.mark.parametrize("occ", [(0.5, 0), (0, 1.5), (np.nan, 0)])
+def test_non_integer_occupation_rejected(occ):
+    # it used to land on a truncated basis state and ladder from there
+    with pytest.raises(ValueError, match=r"occupation tuple \(.*\) is not an integer"):
+        DualFockState(boson_grid(), {occ: 1 + 0j}, {occ: 1 + 0j})
+
+
+@pytest.mark.parametrize("prim, message", [
+    ({(0, 0, 0): 1j}, "has wrong length"),
+    ({(0, 0): 1j, (1,): 1j}, "has wrong length"),
+    ({(0, 4): 1j}, "out of range"),
+    ({(-1, 0): 1j}, "out of range"),
+])
+def test_occupation_tuple_checks_name_the_tuple(prim, message):
+    bad = list(prim)[-1]
+    match = f"occupation tuple {re.escape(str(bad))} {message}"
+    with pytest.raises(ValueError, match=match):
+        DualFockState(boson_grid(2, 3), prim, dict(prim))
+    if len(prim) == 1:  # a lookup off the grid fails the same way
+        with pytest.raises(ValueError, match=match):
+            vacuum(boson_grid(2, 3)).amplitude(bad)
 
 
 def test_mirror_divergence_rejected():
@@ -217,6 +252,50 @@ def test_ladder_ops_match_matrix_oracle(grid):
             np.testing.assert_allclose(
                 apply_b_dagger(state, mode).to_vector(), a.conj().T @ vec,
                 atol=1e-13)
+
+
+AMPLITUDES = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False,
+                                allow_subnormal=False)
+
+
+@st.composite
+def keyed_states(draw):
+    """A state on a random subset of a 1-3 mode grid's basis keys, given in a
+    random order, with random amplitudes, and a mode to act on."""
+    statistics = draw(st.sampled_from(["boson", "fermion"]))
+    modes = draw(st.integers(1, 3))
+    nmax = 1 if statistics == "fermion" else draw(st.integers(1, 3))
+    grid = ModeGrid(tuple(float(k) for k in range(modes)), nmax, statistics)
+    keys = draw(st.lists(st.sampled_from(grid.basis_occupations()), unique=True))
+    prim = dict(zip(keys, draw(st.lists(AMPLITUDES, min_size=len(keys), max_size=len(keys)))))
+    return DualFockState(grid, prim, dict(prim)), draw(st.integers(0, modes - 1))
+
+
+def assert_pair_follows_primary(state):
+    basis = state.grid.basis_occupations()
+    assert np.all(np.diff(state.index) > 0)
+    assert list(state.primary) == [basis[i] for i in state.index.tolist()]
+    assert state.pair.tolist() == [list(rec.values()) for rec in (state.primary, state.shadow)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(keyed_states())
+@example((DualFockState(boson_grid(2, 2), {}, {}), 1))                       # the zero state
+@example((DualFockState(boson_grid(2, 3), {(3, 3): 2j, (0, 3): 1.0},
+                        {(3, 3): 2j, (0, 3): 1.0}), 1))                      # at the cutoff
+@example((DualFockState(fermion_grid(3), {(1, 1, 0): 1j, (1, 0, 0): 0.5, (0, 0, 1): 2.0},
+                        {(1, 1, 0): 1j, (1, 0, 0): 0.5, (0, 0, 1): 2.0}), 2))  # JW signs
+def test_ladder_ops_on_key_subsets_match_kron_oracle(case):
+    state, mode = case
+    a = oracle_mode_matrix(state.grid, mode)
+    vec = state.to_vector()
+    assert_pair_follows_primary(state)
+    for op, matrix in ((apply_b, a), (apply_b_dagger, a.conj().T)):
+        out = op(state, mode)
+        want = matrix @ vec
+        np.testing.assert_allclose(out.to_vector(), want, rtol=1e-14, atol=0)
+        assert out.is_zero == (not want.any())
+        assert_pair_follows_primary(out)
 
 
 def test_mirror_invariant_random_sequences():
@@ -393,3 +472,7 @@ def test_dispersion_params_validation():
         DispersionParams(mass=-1.0)
     with pytest.raises(ValueError):
         DispersionParams(c=0.0)
+    # each non-finite value was accepted, and energy() then returned nan or inf
+    for params in (dict(mass=np.nan), dict(c=np.nan), dict(mass=np.inf), dict(c=np.inf)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            DispersionParams(**params)

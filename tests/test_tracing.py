@@ -43,3 +43,20 @@ def test_request_runs_under_the_tracer(argv, layer, capsys):
     layers = {tracer.names[k][0] for k in tracer.kind}
     assert {"cli", layer} <= layers
     assert tracer.layer_metrics()["cli.serialize_s"] > 0.0
+
+
+def test_fock_state_builds_are_counted():
+    # the tracer counts DualFockState.__post_init__, so every build path must
+    # reach it: the dict constructor, vacuum, ladder results, normalized copies
+    from shadowsim import fock
+
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    grid = fock.ModeGrid((0.0, 1.0), 2)
+    with tracing.instrument(tracer):
+        state = fock.vacuum(grid)                           # 1
+        fock.apply_b_dagger(state, 0)                       # 1
+        fock.apply_b_dagger(state, 1, normalize=True)       # 2: raw and normalized
+        fock.DualFockState(grid, {(1, 0): 1j}, {(1, 0): 1j})  # 1
+        fock.position_create(grid, 0.5, 0.0)                # 1
+    assert tracer.layer_metrics()["fock.states_built"] == 6
