@@ -451,12 +451,16 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that takes "--x0 -1e-3" and "--xmin -inf" as option
-    values.  argparse's own negative-number pattern (as in Python 3.11) has
-    no exponent and no inf, so it reads such a value as an unknown option."""
+    values, and reports a usage error in one line.  argparse's own
+    negative-number pattern (as in Python 3.11) has no exponent and no inf,
+    so it reads such a value as an unknown option."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 # name -> (handler, help text, default --shots, draws from the seeded
@@ -546,13 +550,13 @@ def _parser():
 def run(argv=None):
     parser = _parser()
     args = parser.parse_args(argv)
+    where = f"{parser.prog} {args.subcommand}"
     if args.shots < 1:
-        parser.error("--shots must be >= 1")
+        parser.exit(2, f"{where}: error: --shots must be >= 1\n")
     if args.seed < 0 or args.seed >= 2 ** 64:
-        parser.error("--seed must be a 64-bit unsigned integer")
+        parser.exit(2, f"{where}: error: --seed must be a 64-bit unsigned integer\n")
     handler, _, _, sampled = SUBCOMMANDS[args.subcommand]
     rng = np.random.default_rng(args.seed) if sampled else None
-    where = f"{parser.prog} {args.subcommand}"
     try:
         results, invariants, errata, rows = handler(args, rng)
     except InvariantViolation as exc:

@@ -6,18 +6,12 @@ columns follow ``index``: row 0 the primary amplitudes, row 1 the mirrored
 shadow.  Its ``primary`` and ``shadow`` maps from occupation tuples are built
 on read.  An occupation's basis index is its dot product with ``_place_values``.
 
-One ladder rule, ``_ladder``, acts on rows of an integer occupation array
-(``_digits`` of basis indices).  ``_apply_ladder`` runs it on a state's
-indices and shifts the kept ones by ``delta * place[mode]``, which keeps them
-sorted; ``_ladder_map`` runs it on the whole basis, giving a column map:
-column ``c`` goes to row ``rows[c]`` (-1 for none) with factor ``factors[c]``.
-``annihilation_matrix`` scatters it into a dense matrix; the (anti)commutator
-residuals compose maps by index gathers, merge each column's at most three
-candidates on equal rows, keep the guarded sector (a boolean mask of the
-states the cutoff cannot touch) and report sqrt(||A||_1 ||A||_inf), which is
-the spectral norm of these residual blocks (one entry per row and column at
-most) and bounds it.  ``bracket_residuals`` gives every mode pair's residuals
-of a grid from one mask and one lowering and one raising map per mode.
+One builder, ``_ladder``, gives a ladder operator's column maps on a set of
+basis indices for every mode at once, as stacks with one contiguous row per
+mode, which every operator reads after one range check: ``_apply_ladder`` on a
+state's indices, ``annihilation_matrix`` on the basis.  The (anti)commutator
+residuals share one setup, the guarded sector and the lowering and raising
+stacks of the basis; ``_bracket_residual`` merges each pair's composed maps.
 """
 
 from __future__ import annotations
@@ -183,7 +177,7 @@ def vacuum(grid):
 
 
 # ---------------------------------------------------------------------------
-# the ladder rule, and its two walkers
+# the ladder maps, built for every mode at once
 
 
 def _place_values(grid):
@@ -198,29 +192,46 @@ def _digits(grid, index=None):
     return (index[:, None] // _place_values(grid)) % grid.mode_dim
 
 
-def _ladder(grid, occ, mode, delta):
-    """Lowering (delta -1) or raising (delta +1) of `mode` on rows of occupations:
-    which rows stay within [0, max_occupation] (for fermions, Pauli exclusion),
-    and each row's factor, sqrt(max(n, n + delta)) or for fermions the
-    Jordan-Wigner sign of the modes before `mode`."""
-    if mode < 0 or mode >= grid.mode_count:
+def _ladder(grid, index, delta):
+    """Column maps of the lowering (delta -1) or raising (delta +1) operator of
+    every mode on the basis states `index`, as (modes, len(index)) stacks: under
+    mode m, column c goes to rows[m, c] with factor factors[m, c], sqrt(max(n,
+    n + delta)) or for fermions the Jordan-Wigner sign of a cumulative sum of
+    occupations, or from the edge n + delta would pass nowhere (-1, factor 0.0).
+    One mode's digits fill each row, so no (modes, len(index)) temporary is
+    made; `rows` comes last, so the residuals' temporaries reuse the loop's
+    freed ones instead of growing and trimming the heap."""
+    place = _place_values(grid)
+    factors = np.empty((grid.mode_count, index.size))
+    before = np.zeros(index.size, dtype=int)
+    for m, factor in enumerate(factors):
+        n = index // place[m] % grid.mode_dim
+        factor[:] = (1.0 - 2.0 * (before % 2) if grid.statistics == "fermion"
+                     else np.sqrt(np.maximum(n, n + delta)))
+        factor[n == (grid.max_occupation if delta > 0 else 0)] = 0.0
+        before += n
+    rows = np.add.outer(delta * place, index)
+    for row, factor in zip(rows, factors):
+        row[factor == 0] = -1
+    return rows, factors
+
+
+def _row(maps, mode):
+    """Row `mode` of `_ladder` stacks, checked first: a negative one would wrap."""
+    rows, factors = maps
+    if not 0 <= mode < len(rows):
         raise IndexError(f"mode {mode} out of range")
-    n = occ[:, mode]
-    hit = (n + delta >= 0) & (n + delta <= grid.max_occupation)
-    if grid.statistics == "fermion":
-        return hit, 1.0 - 2.0 * (occ[:, :mode].sum(axis=1) % 2)
-    return hit, np.sqrt(np.maximum(n, n + delta))
+    return rows[mode], factors[mode]
 
 
 def _apply_ladder(state, mode, delta, normalize):
-    grid = state.grid
-    hit, factor = _ladder(grid, _digits(grid, state.index), mode, delta)
-    amps = factor * state.pair[0]
-    keep = hit & (amps != 0)
-    # the single physical amplitude is shared by both registers: every scalar
-    # factor is applied once, then mirrored into the shadow row; a shift keeps
-    # the indices sorted
-    out = _held(grid, state.index[keep] + delta * _place_values(grid)[mode], amps[keep])
+    rows, factors = _row(_ladder(state.grid, state.index, delta), mode)
+    amps = factors * state.pair[0]
+    # a column with no row has factor 0.0 and drops with the exact zeros; the
+    # one physical amplitude is shared by both registers: every factor is
+    # applied once, then mirrored into the shadow row; rows keep index order
+    keep = amps != 0
+    out = _held(state.grid, rows[keep], amps[keep])
     return out.normalized() if normalize and not out.is_zero else out
 
 
@@ -241,18 +252,9 @@ def apply_b(state, mode, normalize=False):
     return _apply_ladder(state, mode, -1, normalize)
 
 
-def _ladder_map(grid, digits, mode, delta):
-    """Column map (rows, factors) of the ladder operator `delta` on `mode`,
-    from the basis digits: column c goes to row rows[c], or nowhere when
-    rows[c] is -1."""
-    hit, factor = _ladder(grid, digits, mode, delta)
-    rows = np.arange(grid.dim) + delta * _place_values(grid)[mode]
-    return np.where(hit, rows, -1), np.where(hit, factor, 0.0)
-
-
 def annihilation_matrix(grid, mode):
     """Dense matrix of the combined operator b_mode on the truncated space."""
-    rows, factors = _ladder_map(grid, _digits(grid), mode, -1)
+    rows, factors = _row(_ladder(grid, np.arange(grid.dim), -1), mode)
     cols = np.flatnonzero(rows >= 0)
     mat = np.zeros((grid.dim, grid.dim), dtype=complex)
     mat[rows[cols], cols] = factors[cols]
@@ -315,17 +317,24 @@ def _bracket_residual(grid, bi, x, delta_ij, keep, sign):
     return float(np.sqrt(col_sum * row_sum))
 
 
+def _residuals(grid, pairs):
+    """The `bracket_residuals` rows of `pairs`, from one guarded mask and two stacks."""
+    keep = guarded_sector_projector(grid)
+    lower, upper = (_ladder(grid, np.arange(grid.dim), delta) for delta in (-1, 1))
+    sign = _SIGNS[grid.statistics]
+    return [(i, j, pair, _bracket_residual(grid, _row(lower, i),
+                                           _row(upper if pair == "mixed" else lower, j),
+                                           i == j and pair == "mixed", keep, sign))
+            for i, j, pair in pairs]
+
+
 def _pair_residual(grid, i, j, annihilation_pair, statistics):
-    """The bracket residual of one mode pair, X = b_j^dag, or X = b_j with
-    `annihilation_pair`, from the two maps it needs."""
+    """The bracket residual of one mode pair, the one-pair case of `_residuals`."""
     if grid.statistics != statistics:
         raise ValueError(f"{_BRACKETS[statistics]} check requires {statistics}s; "
                          f"use {_BRACKETS[grid.statistics]}_residual")
-    digits = _digits(grid)
-    bi = _ladder_map(grid, digits, i, -1)
-    x = _ladder_map(grid, digits, j, -1 if annihilation_pair else 1)
-    return _bracket_residual(grid, bi, x, i == j and not annihilation_pair,
-                             guarded_sector_projector(grid), _SIGNS[statistics])
+    pair = "annihilation" if annihilation_pair else "mixed"
+    return _residuals(grid, [(i, j, pair)])[0][3]
 
 
 def commutator_residual(grid, i, j, annihilation_pair=False):
@@ -344,19 +353,10 @@ def bracket_residuals(grid):
     """Every residual of the grid's bracket, the commutator for bosons and
     the anticommutator for fermions, as (i, j, pair, residual) for each mode
     i, each mode j, and pair "mixed" (X = b_j^dag), then "annihilation"
-    (X = b_j): equal to the per-pair functions, with the mask and the
-    lowering and raising maps of every mode built once."""
-    keep = guarded_sector_projector(grid)
-    digits = _digits(grid)
+    (X = b_j); the per-pair functions are its one-pair case."""
     modes = range(grid.mode_count)
-    lower = [_ladder_map(grid, digits, m, -1) for m in modes]
-    upper = [_ladder_map(grid, digits, m, 1) for m in modes]
-    del digits
-    sign = _SIGNS[grid.statistics]
-    return [(i, j, pair, _bracket_residual(grid, lower[i], x[j], i == j and pair == "mixed",
-                                           keep, sign))
-            for i in modes for j in modes
-            for pair, x in (("mixed", upper), ("annihilation", lower))]
+    return _residuals(grid, [(i, j, pair) for i in modes for j in modes
+                             for pair in ("mixed", "annihilation")])
 
 
 # ---------------------------------------------------------------------------

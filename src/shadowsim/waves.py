@@ -104,11 +104,15 @@ def gaussian_packet(x_min, x_max, points, x0=0.0, sigma=1.0, k0=0.0):
     x = _cell_centres(x_min, x_max, points)
     if not (np.isfinite(x0) and np.isfinite(k0)):
         raise ValueError(f"x0 and k0 must be finite: {x0}, {k0}")
+    # past the grid's Nyquist wave number the samples alias to a slower packet
+    nyquist = np.pi / _spacing(x_min, x_max, points)
+    if abs(k0) >= nyquist:
+        raise ValueError(f"k0 {k0:g} aliases: |k0| must be below the grid's Nyquist "
+                         f"wave number pi/dx = {nyquist:g}")
     # products, not float **, which raises OverflowError instead of giving inf
     if not (sigma > 0 and 0.0 < 4.0 * sigma * sigma < np.inf):
         raise ValueError(f"sigma must be positive with 4 sigma^2 finite and > 0: {sigma}")
-    # exp(-inf) is the exact zero tail; a k0 x that overflows gives a NaN
-    # phase, which the normalization rejects
+    # exp(-inf) is the exact zero tail of a square that overflows
     with np.errstate(over="ignore", invalid="ignore"):
         psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma ** 2) + 1j * k0 * x)
     return from_samples(x_min, x_max, psi)

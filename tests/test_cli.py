@@ -234,6 +234,25 @@ def test_invalid_shots_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, start", [
+    (["teleport", "--shots", "0"], "shadowsim teleport: error: --shots must be >= 1"),
+    (["teleport", "--seed", "-1"], "shadowsim teleport: error: --seed must be a 64-bit"),
+    (["teleport", "--seed", "18446744073709551616"],
+     "shadowsim teleport: error: --seed must be a 64-bit"),
+    (["teleport", "--resource", "bogus"],
+     "shadowsim teleport: error: argument --resource: invalid choice: 'bogus'"),
+    (["teleport", "--alpha", "1+"], "shadowsim teleport: error: argument --alpha:"),
+    (["teleport", "--bogus"], "shadowsim: error: unrecognized arguments: --bogus"),
+])
+def test_usage_errors_exit_2_with_one_line(argv, start, capsys):
+    # argparse's own errors printed a usage block of 3-5 lines first
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(start)
+
+
 def test_invalid_flag_value_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["teleport", "--alpha", "spam"])
@@ -291,6 +310,7 @@ def test_non_finite_alpha_exits_2_with_one_line(alpha, capsys):
     ["evolve", "--points", "1000000000000", "--steps", "1"],
     ["collapse", "--points", "1000000000000"],
     ["doubleslit", "--bins", "1000000000000"],
+    ["algebra", "--nmax", "0"],
 ])
 def test_degenerate_inputs_exit_2_with_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -451,6 +471,9 @@ def test_negative_infinity_reaches_the_grid_check(capsys):
     # more zones than grid points
     ["collapse", "--zones", "513", "--points", "512"],
     ["collapse", "--zones", "600"],
+    # at or past the grid's Nyquist wave number pi/dx (80.4 here) the packet aliases
+    ["evolve", "--k0", "100"],
+    ["evolve", "--k0", "1e6"],
 ])
 def test_bad_grid_inputs_exit_2_with_one_line(argv, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -575,3 +598,21 @@ def test_merged_chisquare_rejects_unequal_sums():
         _scipy_merged_chisquare(counts, expected)
     with pytest.raises(ValueError, match="relative tolerance"):
         _merged_chisquare(counts, expected)
+
+
+def test_to_json_writes_arrays_and_subclasses_as_plain_values():
+    class Text(str):
+        def __str__(self):
+            return "not the value"
+
+    class Mapping(dict):
+        pass
+
+    class Items(list):
+        pass
+
+    assert to_json(np.array([[1, 2], [3, 4]])) == "[[1, 2], [3, 4]]"
+    assert to_json(np.array([0.5, 1.0])) == "[0.5, 1.0]"
+    assert to_json(Text("x")) == '"x"'
+    assert to_json(Items([1, Text("x")])) == '[1, "x"]'
+    assert to_json(Mapping(a=Items([1]))) == to_json({"a": [1]})

@@ -5,6 +5,7 @@ so they do not share code with the map-based operator implementation.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,22 @@ def test_occupation_tuple_checks_name_the_tuple(prim, message):
             vacuum(boson_grid(2, 3)).amplitude(bad)
 
 
+def test_unknown_statistics_rejected():
+    with pytest.raises(ValueError, match="unknown statistics 'anyon'"):
+        ModeGrid((0.0, 1.0), 1, "anyon")
+
+
+def test_zero_cutoff_rejected():
+    # what `algebra --nmax 0` asks for
+    with pytest.raises(ValueError, match="max_occupation must be positive"):
+        ModeGrid((0.0, 1.0), 0, "boson")
+
+
+def test_different_key_sets_rejected():
+    with pytest.raises(ValueError, match="primary and shadow key sets differ"):
+        DualFockState(boson_grid(), {(0, 0): 1j}, {(1, 0): 1j})
+
+
 def test_mirror_divergence_rejected():
     grid = boson_grid()
     with pytest.raises(ValueError):
@@ -211,6 +228,17 @@ def test_mode_out_of_range():
         apply_b_dagger(state, 2)
     with pytest.raises(IndexError):
         apply_b(state, -1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: commutator_residual(boson_grid(2, 3), -1, 0),
+    lambda: anticommutator_residual(fermion_grid(3), 0, 3),
+    lambda: fock.annihilation_matrix(boson_grid(2, 3), -1),
+], ids=["commutator-i-1", "anticommutator-j-past-end", "annihilation-matrix-1"])
+def test_stack_reads_reject_modes_off_the_grid(build):
+    # a negative mode would silently read the last mode's row of a map stack
+    with pytest.raises(IndexError, match=r"mode -?\d+ out of range"):
+        build()
 
 
 def random_dual_state(grid, rng):
@@ -428,6 +456,21 @@ def test_residuals_equal_dense_oracle_spectral_norm(grid, annihilation_pair):
             assert got >= expected
             assert got == expected, (i, j)
             assert batch[i, j, pair] == got == expected, (i, j)
+
+
+def test_residual_memory_is_a_fixed_multiple_of_the_map_stacks():
+    # the lowering and raising stacks take 2 modes*dim*16 bytes and one pair's
+    # residual temporaries about 1.5 times modes*dim*16 more, 3.49 in all; a
+    # setup that keeps a whole (modes, dim) array beside the stacks through the
+    # residual loop, such as the basis digits (3.99), breaks the bound
+    grid = boson_grid(6, 4)
+    tracemalloc.start()
+    try:
+        bracket_residuals(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.6 * grid.mode_count * grid.dim * 16
 
 
 # --- position-state creation --------------------------------------------------

@@ -269,3 +269,9 @@ def test_records_equal_the_dense_projector_oracle(n, raw_steps, seed):
                 assert np.array_equal(first.primary, second.primary)
                 assert np.array_equal(first.shadow, second.shadow)
             psi = post
+
+
+def test_measure_shots_with_no_steps_gives_one_empty_path():
+    paths, index = measure_shots(bell_pair(BellKind.PHI_PLUS), [], np.zeros((5, 0)))
+    assert paths == [()]
+    assert index.tolist() == [0] * 5

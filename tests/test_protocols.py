@@ -5,8 +5,10 @@ from scipy import stats
 from shadowsim.protocols import (
     CORRECTION_TABLES,
     SWAP_OUTCOME_MAP,
+    PRINTED_TELEPORT_BRANCHES,
     bell_branches,
     derive_correction_table,
+    derive_decomposition,
     entangled_readout_demo,
     phase_invariant_distance,
     product_state_demo,
@@ -310,3 +312,9 @@ def test_shot_validation():
         entangled_readout_demo(0)
     with pytest.raises(ValueError):
         product_state_demo(0)
+
+
+def test_decomposition_needs_two_qubits():
+    with pytest.raises(ValueError, match="decomposition needs at least two qubits"):
+        derive_decomposition(from_amplitudes([1.0, 0.0], 1), (0, 1),
+                             PRINTED_TELEPORT_BRANCHES, "one-qubit")

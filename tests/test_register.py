@@ -9,6 +9,7 @@ from shadowsim.register import (
     PAULI_X,
     apply_unitary,
     bell_pair,
+    check_unitary,
     fidelity,
     from_amplitudes,
     l2_norm,
@@ -230,3 +231,18 @@ def test_fidelity_phase_insensitive():
 def test_fidelity_size_mismatch():
     with pytest.raises(ValueError):
         fidelity(from_amplitudes([1, 0], 1), bell_pair(BellKind.PHI_PLUS))
+
+
+def test_check_unitary_rejects_the_wrong_shape():
+    with pytest.raises(ValueError, match="gate must be 4x4"):
+        check_unitary(np.eye(2), 4, "gate")
+
+
+@pytest.mark.parametrize("n, vec, message", [
+    (0, [1.0], "qubit_count must be positive"),
+    (2, [1.0, 0.0], r"amplitude vector length must be 2\*\*qubit_count"),
+])
+def test_register_rejects_a_bad_qubit_count_or_length(n, vec, message):
+    vec = np.array(vec, dtype=complex)
+    with pytest.raises(ValueError, match=message):
+        DualRegister(n, vec, vec)

@@ -342,3 +342,50 @@ def test_double_slit_validation():
         double_slit_accumulate(GEOM, 10, 1)
     with pytest.raises(ValueError):
         double_slit_accumulate(GEOM, 10, 16, slits="top")
+
+
+def test_packet_at_or_past_the_nyquist_wave_number_is_rejected():
+    # pi/dx is 80.42 on the default 1024-point grid over [-20, 20]
+    nyquist = np.pi / (40.0 / 1024)
+    assert gaussian_packet(-20, 20, 1024, k0=-80.0).norm() == pytest.approx(1.0)
+    for k0 in (nyquist, -nyquist, 100.0, 1e6):
+        with pytest.raises(ValueError, match=r"\|k0\| must be below the grid's Nyquist "
+                                             r"wave number pi/dx = 80\.4248"):
+            gaussian_packet(-20, 20, 1024, k0=k0)
+
+
+def test_evolve_rejects_negative_steps():
+    grid = gaussian_packet(-8, 8, 64)
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        evolve(grid, Potential.zero(grid), 0.01, -1)
+
+
+def test_evolve_rejects_a_potential_of_the_wrong_length():
+    grid = gaussian_packet(-8, 8, 64)
+    with pytest.raises(ValueError, match="potential length must match the grid"):
+        evolve(grid, Potential(np.zeros(65)), 0.01, 1)
+
+
+def test_equal_zones_needs_two_zones():
+    with pytest.raises(ValueError, match="need at least two zones"):
+        ZonePartition.equal_zones(64, 1)
+
+
+def test_zone_profile_of_a_zero_weight_zone_is_rejected():
+    grid = from_samples(-8, 8, np.r_[np.ones(32), np.zeros(32)])
+    with pytest.raises(ValueError, match="zone 1 has zero weight"):
+        zone_profile(grid, ZonePartition.equal_zones(64, 2), 1)
+
+
+def test_right_slit_is_the_left_slit_mirrored():
+    geometry = SlitGeometry(separation=5.0, width=0.1, distance=100.0)
+    x = np.linspace(-40.0, 40.0, 801)
+    right = analytic_screen_intensity(x, geometry, 0.05, "right")
+    assert np.array_equal(right, analytic_screen_intensity(-x, geometry, 0.05, "left"))
+    assert not np.array_equal(right, analytic_screen_intensity(x, geometry, 0.05, "left"))
+
+
+def test_unknown_slit_selection_is_rejected():
+    geometry = SlitGeometry(separation=5.0, width=0.1, distance=100.0)
+    with pytest.raises(ValueError, match="unknown slit selection 'middle'"):
+        analytic_screen_intensity(np.zeros(3), geometry, 0.05, "middle")
