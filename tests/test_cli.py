@@ -346,6 +346,70 @@ def test_non_finite_evolution_exits_1_with_one_line(capsys):
                    "non-finite amplitudes at t=0.002 (dt=0.002)\n")
 
 
+def test_failed_invariant_exits_1_with_one_line_naming_it(tmp_path, capsys):
+    # seed 328's swap frequencies stray past the 3-sigma gate: the document
+    # is written as always, and stderr names the gate, residual and tolerance
+    code, raw = invoke(["swap", "--seed", "328"], tmp_path)
+    assert code == 1
+    gate = json.loads(raw)["invariants"]["outcome_frequencies"]
+    assert gate["ok"] is False
+    assert capsys.readouterr().err == ("shadowsim swap: invariant violation: outcome_frequencies "
+                                       "residual 0.046 > tolerance 0.0411\n")
+
+
+def test_every_failed_invariant_shares_the_one_line(tmp_path, capsys, monkeypatch):
+    from shadowsim import cli
+
+    monkeypatch.setattr(cli, "_invariant",
+                        lambda residual, tol: {"ok": False, "residual": float(residual),
+                                               "tolerance": tol})
+    code, raw = invoke(["swap"], tmp_path)
+    assert code == 1
+    names = list(json.loads(raw)["invariants"])
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    failed = err.removeprefix("shadowsim swap: invariant violation: ").rstrip("\n")
+    assert [part.split(" residual ")[0] for part in failed.split("; ")] == names
+
+
+# --- the algebra tolerance follows the cutoff -----------------------------------------------
+
+def algebra_gate(nmax, tmp_path):
+    code, raw = invoke(["algebra", "--modes", "1", "--nmax", str(nmax)], tmp_path)
+    return code, json.loads(raw)["invariants"]["algebra_residuals"]
+
+
+def test_algebra_tolerance_is_1e_12_up_to_its_round_off_bound(tmp_path):
+    # every benchmark request and golden pin has nmax <= 15
+    assert algebra_gate(1124, tmp_path)[1]["tolerance"] == 1e-12
+    assert algebra_gate(1125, tmp_path)[1]["tolerance"] > 1e-12
+
+
+def test_algebra_one_mode_sweep_exits_0(tmp_path):
+    # the sqrt(n) sqrt(n) round-off passes 1e-12 from nmax 4105 on
+    for nmax in (*range(1, 20001, 250), 4104, 4105, 10000, 20000):
+        code, gate = algebra_gate(nmax, tmp_path)
+        assert code == 0, (nmax, gate)
+        assert gate["residual"] <= 2 * (nmax + 1) * np.finfo(float).eps
+
+
+def test_algebra_tolerance_still_catches_a_wrong_factor(tmp_path, capsys, monkeypatch):
+    # a relative error of 2e-11 in one creation factor at nmax 10 000
+    from shadowsim import fock
+
+    ladder = fock._ladder
+
+    def off(grid, index, delta):
+        rows, factors = ladder(grid, index, delta)
+        return rows, factors * (1 + 2e-11) if delta > 0 else factors
+
+    monkeypatch.setattr(fock, "_ladder", off)
+    code, gate = algebra_gate(10000, tmp_path)
+    assert code == 1 and gate["residual"] > 2 * gate["tolerance"]
+    assert capsys.readouterr().err == ("shadowsim algebra: invariant violation: algebra_residuals "
+                                       "residual 2.36e-11 > tolerance 8.88e-12\n")
+
+
 @pytest.mark.parametrize("text,value", [
     ("0.8i", 0.8j), ("i", 1j), ("-i", -1j), (" -0.5+0.7i ", -0.5 + 0.7j),
     ("(1-2i)", 1 - 2j), (" ( 1e-3i ) ", 1e-3j), ("2", 2), ("1+2j", 1 + 2j),
