@@ -556,9 +556,58 @@ def _parser():
     return build_parser()
 
 
+_TABLE_ACTIONS = (argparse._StoreAction, argparse._StoreTrueAction)
+
+
+@functools.cache
+def _option_table(name):
+    """A subcommand's namespace at its defaults, as parse_args([name]) makes
+    it, and its long store and store_true options by option string, read
+    once off the parser's actions."""
+    parser = _parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {option: action for action in sub.choices[name]._actions
+               if type(action) in _TABLE_ACTIONS
+               for option in action.option_strings if option.startswith("--")}
+    return vars(parser.parse_args([name])), options
+
+
+def _read_table(argv):
+    """The namespace parse_args(argv) makes, read straight off the option
+    table when every token after the subcommand is "--name=value" with an
+    exact long option of it, the value passing the option's own type and
+    choices, or a bare store_true flag; None for any other argv, which
+    argparse then parses, so that every help, usage and error text is its."""
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    defaults, options = _option_table(argv[0])
+    values = dict(defaults)
+    for token in argv[1:]:
+        option, eq, text = token.partition("=")
+        action = options.get(option)
+        if action is None or bool(eq) != (action.nargs is None) or text == "--":
+            # an unknown or abbreviated option, a value in the next token, a
+            # value given to a flag, or the "--" that argparse would drop
+            return None
+        if not eq:
+            values[action.dest] = action.const
+            continue
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values)
+
+
 def run(argv=None):
     parser = _parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_table(argv)
+    if args is None:
+        args = parser.parse_args(argv)
     where = f"{parser.prog} {args.subcommand}"
     if args.shots < 1:
         parser.exit(2, f"{where}: error: --shots must be >= 1\n")

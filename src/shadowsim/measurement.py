@@ -7,12 +7,15 @@ matrix product, and ``_embed`` puts an outcome ket back. One walker,
 (``Z_BASIS``, ``X_BASIS``, any 2x2 basis, or ``BELL_BASIS`` on a pair) for
 many shots at once, collapsing both registers once per distinct outcome path;
 ``projective_measure`` and ``bell_measure`` are its one-shot case. It checks
-every step once per walk and builds a post-state only to measure the next
-step on it. Each record keeps the conditional pair of the unmeasured qubits
-and builds its registers when they are read: the post-state, and the
-unmeasured qubits' state read two ways, from the shadow register (the
-nonlocality mechanism under test) and from the primary. Every register built
-is validated; none is kept. ``sample_outcome`` is the package's one sampler.
+every step once per walk; the three bases defined here are read-only and
+checked once, at import. It builds post-states only to measure the next step
+on them, each level's as one stack validated in one check
+(``register.check_registers``). Each record keeps the conditional pair of the
+unmeasured qubits and builds its registers when they are read: the
+post-state, and the unmeasured qubits' state read two ways, from the shadow
+register (the nonlocality mechanism under test) and from the primary. Every
+register built is validated; none is kept. ``sample_outcome`` is the
+package's one sampler.
 """
 
 from __future__ import annotations
@@ -22,15 +25,17 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .register import (BellKind, DualRegister, HADAMARD, check_targets,
-                       check_unitary, from_amplitudes, l2_norm, read_only,
-                       targets_first)
+from .register import (BellKind, DualRegister, HADAMARD, check_registers,
+                       check_targets, check_unitary, from_amplitudes, l2_norm,
+                       read_only, targets_first)
 
-# columns are the outcome states
-Z_BASIS = np.eye(2, dtype=complex)
-X_BASIS = HADAMARD.copy()
-BELL_BASIS = np.column_stack([k.amplitudes() for k in BellKind])
+# columns are the outcome states; measure_shots trusts these three objects
+Z_BASIS = read_only(check_unitary(np.eye(2, dtype=complex), 2, "basis"))
+X_BASIS = read_only(check_unitary(HADAMARD.copy(), 2, "basis"))
+BELL_BASIS = read_only(check_unitary(np.column_stack([k.amplitudes() for k in BellKind]),
+                                     4, "basis"))
 BELL_LABELS = tuple(BellKind)
+_CHECKED_BASES = (Z_BASIS, X_BASIS, BELL_BASIS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,9 +56,8 @@ class MeasurementRecord:
     def post_state(self) -> DualRegister:
         """The collapsed register: the outcome ket on the targets, tensored
         with the normalized conditional pair."""
-        n = self.qubit_count
-        post = _embed(self.cond, n, self.targets, self.ket) / l2_norm(self.cond[0])
-        return DualRegister(n, post[0], post[1])
+        post = _post_pair(self)
+        return DualRegister(self.qubit_count, post[0], post[1])
 
     @property
     def remote_state_via_shadow(self) -> Optional[DualRegister]:
@@ -103,11 +107,23 @@ def _embed(conds, n, targets, ket):
     return a.reshape((2,) * t + lead + (2,) * (n - t)).transpose(back).reshape(lead + (-1,))
 
 
-def _branches(state, targets, basis):
-    """The read-only (k, 2, rest) stack of conditional pairs, one per basis
-    column, from one product, and their Born probabilities."""
-    conds = read_only(_contract(state.pair, state.qubit_count, targets, basis))
+def _branches(pair, n, targets, basis):
+    """The read-only (k, 2, rest) stack of conditional pairs of an n-qubit
+    register's pair, one per basis column, from one product, and their Born
+    probabilities."""
+    conds = read_only(_contract(pair, n, targets, basis))
     return conds, (np.abs(conds[:, 0]) ** 2).sum(axis=1).tolist()
+
+
+def _post_pair(record):
+    """The unchecked (2, 2**n) pair of a record's post-state."""
+    return _embed(record.cond, record.qubit_count, record.targets,
+                  record.ket) / l2_norm(record.cond[0])
+
+
+def _post_states(records):
+    """The records' post-state pairs as one read-only stack, checked in one call."""
+    return check_registers([_post_pair(record) for record in records])
 
 
 def _remote_register(cond):
@@ -124,34 +140,39 @@ def measure_shots(state, steps, u):
     step before it. Row i of u holds shot i's uniforms, one per step, in the
     order a per-shot loop would draw them. Returns the distinct outcome paths,
     each a tuple of MeasurementRecords made once, and for each shot the index
-    of its path. Every step is checked once, before any is measured.
+    of its path. Every step is checked once, before any is measured, except
+    that Z_BASIS, X_BASIS and BELL_BASIS were checked at import.
     """
     n = state.qubit_count
     checked = []
     for targets, basis, labels in steps:
         targets = tuple(check_targets(n, targets))
-        basis = read_only(np.array(check_unitary(basis, 2 ** len(targets), "basis")))
+        d = 2 ** len(targets)
+        if not (any(basis is b for b in _CHECKED_BASES) and basis.shape == (d, d)):
+            basis = read_only(np.array(check_unitary(basis, d, "basis")))
         checked.append((targets, basis, labels))
     u = np.asarray(u, dtype=float)
     if not checked:
         return [()], np.zeros(len(u), dtype=int)
-    return _walk(state, checked, u)
+    return _walk(state.pair, n, checked, u)
 
 
-def _walk(state, steps, u):
-    """measure_shots on checked steps; a post-state is built only to measure
-    the next step on it."""
+def _walk(pair, n, steps, u):
+    """measure_shots on checked steps from an n-qubit pair; post-states are
+    built, as one checked stack, only to measure the next step on them."""
     (targets, basis, labels), rest = steps[0], steps[1:]
-    conds, probs = _branches(state, targets, basis)
+    conds, probs = _branches(pair, n, targets, basis)
     drawn = sample_outcome(u[:, 0], probs)
+    outcomes = np.bincount(drawn).nonzero()[0].tolist()
+    records = [MeasurementRecord(labels[k], probs[k], conds[k], n, targets, basis[:, k])
+               for k in outcomes]
+    posts = _post_states(records) if rest else ()
     paths, index = [], np.empty(len(u), dtype=int)
-    for k in np.bincount(drawn).nonzero()[0].tolist():
-        record = MeasurementRecord(labels[k], probs[k], conds[k], state.qubit_count,
-                                   targets, basis[:, k])
+    for i, (k, record) in enumerate(zip(outcomes, records)):
         shots = drawn == k
         tails, tail_index = [()], 0
         if rest:
-            tails, tail_index = _walk(record.post_state, rest, u[shots, 1:])
+            tails, tail_index = _walk(posts[i], n, rest, u[shots, 1:])
         index[shots] = len(paths) + tail_index
         paths += [(record,) + tail for tail in tails]
     return paths, index
@@ -166,7 +187,8 @@ def _measure(state, step, rng):
 def born_probabilities(state: DualRegister, qubit, basis=Z_BASIS):
     """Born-rule outcome probabilities for measuring one qubit in a basis."""
     targets = check_targets(state.qubit_count, [qubit])
-    return tuple(_branches(state, targets, check_unitary(basis, 2, "basis"))[1])
+    basis = check_unitary(basis, 2, "basis")
+    return tuple(_branches(state.pair, state.qubit_count, targets, basis)[1])
 
 
 def projective_measure(state: DualRegister, qubit, basis=Z_BASIS, rng=None):
@@ -182,7 +204,8 @@ def projective_measure(state: DualRegister, qubit, basis=Z_BASIS, rng=None):
 def bell_outcome_probabilities(state: DualRegister, pair):
     """Born probabilities of the four Bell outcomes on the given qubit pair."""
     targets = check_targets(state.qubit_count, pair)
-    return dict(zip(BELL_LABELS, _branches(state, targets, BELL_BASIS)[1]))
+    probs = _branches(state.pair, state.qubit_count, targets, BELL_BASIS)[1]
+    return dict(zip(BELL_LABELS, probs))
 
 
 def bell_measure(state: DualRegister, pair, rng=None):

@@ -5,7 +5,15 @@ what the far side reads depends only on the outcome path, so each path's
 result is built once. ``teleportation_shots`` and ``swap_shots`` return one
 result per distinct outcome path and each shot's path index
 (``run_teleportation`` and ``run_entanglement_swap`` are their one-shot case),
-and the readout demos count shots per path from the same index.
+and the readout demos count shots per path from the same index. The states a
+demo reads per outcome (the far side read from the shadow, teleport's
+corrected qubit, the post-states) are rows made with the arithmetic of
+``from_amplitudes``, ``apply_unitary`` and ``fidelity``, checked as one stack
+per outcome set (``register.check_registers``) rather than one register each.
+The fixed input states (``bell_pair``, ``swap_input_state``,
+``product_plus_state``) are built and checked once, at import, and so are the
+Pauli-group unitaries of ``CORRECTION_TABLES``; any other correction table is
+checked on every request, as before.
 
 The module also contains the brute-force Bell-decomposition oracle: any state
 is expanded branch-by-branch through the same projection kernel the Bell
@@ -22,7 +30,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .measurement import (BELL_BASIS, BELL_LABELS, X_BASIS, Z_BASIS, _contract,
-                          _embed, measure_shots)
+                          _embed, _post_states, measure_shots)
 # not called here since the walker replaced them; bench/tracing.py wraps them
 from .measurement import bell_measure, projective_measure  # noqa: F401
 from .register import (
@@ -32,13 +40,21 @@ from .register import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    apply_unitary,
+    _embed_apply,
     bell_pair,
-    fidelity,
+    check_registers,
+    check_unitary,
     from_amplitudes,
+    held_register,
+    l2_norm,
+    mirror_residuals,
+    normalized,
     read_only,
     tensor,
 )
+# not called here since the per-outcome rows replaced them; bench/tracing.py
+# wraps them
+from .register import apply_unitary, fidelity  # noqa: F401
 
 BRANCH_TOL = 1e-12
 
@@ -141,9 +157,13 @@ def teleport_decomposition(alpha, beta):
                                 "teleportation-bell-expansion")
 
 
+_SWAP_INPUT = tensor(bell_pair(BellKind.PSI_MINUS), bell_pair(BellKind.PSI_MINUS))
+
+
 def swap_input_state():
-    """Two singlet pairs on qubits (0,1) and (2,3)."""
-    return tensor(bell_pair(BellKind.PSI_MINUS), bell_pair(BellKind.PSI_MINUS))
+    """Two singlet pairs on qubits (0,1) and (2,3): one prebuilt read-only
+    register."""
+    return _SWAP_INPUT
 
 
 def swap_decomposition():
@@ -161,8 +181,10 @@ def swap_decomposition():
 # correction tables
 
 
-# the phase-extended Pauli group, in search order, as one read-only stack
-_PAULI_GROUP = read_only(np.array([phase * pauli for pauli in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+# the phase-extended Pauli group, in search order, as one read-only stack of
+# unitaries checked here once
+_PAULI_GROUP = read_only(np.array([check_unitary(phase * pauli, 2, "Pauli-group element")
+                                   for pauli in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
                                    for phase in (1.0, -1.0, 1j, -1j)]))
 
 
@@ -235,12 +257,24 @@ class TeleportationResult:
     shadow_deviation: float
 
 
-def _paths(state, steps, u, result):
-    """result(*path) of each distinct outcome path of the steps on state, built
-    once, and each shot's path index: measurement.measure_shots with row i of
-    u holding shot i's uniforms."""
-    paths, index = measure_shots(state, steps, u)
-    return [result(*path) for path in paths], index
+def _remote_pairs(records):
+    """The unchecked (k, 2, rest) stack of the registers each record's
+    unmeasured qubits are read as from the shadow: from_amplitudes's
+    normalized row as both primary and shadow."""
+    return np.array([(v, v) for v in (normalized(rec.cond[1], l2_norm, "coefficients")
+                                      for rec in records)])
+
+
+def _fidelity(pair, ket):
+    """fidelity's |<primary|ket>|^2 of a checked pair against a ket."""
+    return float(abs(np.vdot(pair[0], ket)) ** 2)
+
+
+def _single_step(state, step, shots, rng):
+    """The records of the distinct outcomes of one step, one rng.random() per
+    shot, and each shot's index into them."""
+    paths, index = measure_shots(state, [step], rng.random((shots, 1)))
+    return [record for record, in paths], index
 
 
 def teleportation_shots(alpha, beta, resource, shots, rng, table):
@@ -248,15 +282,22 @@ def teleportation_shots(alpha, beta, resource, shots, rng, table):
     (0,1), correct qubit 2. Returns one TeleportationResult per distinct
     outcome and each shot's index into them."""
     target = from_amplitudes([alpha, beta], 1)  # also the input qubit
-
-    def result(record):
-        corrected = apply_unitary(record.remote_state_via_shadow, [0], table[record.outcome])
-        dev = max(record.post_state.mirror_deviation(), corrected.mirror_deviation())
-        return TeleportationResult(record.outcome, record.probability,
-                                   fidelity(corrected, target), dev)
-
-    return _paths(_joined(target, resource), [((0, 1), BELL_BASIS, BELL_LABELS)],
-                  rng.random((shots, 1)), result)
+    records, index = _single_step(_joined(target, resource),
+                                  ((0, 1), BELL_BASIS, BELL_LABELS), shots, rng)
+    unitaries = [table[record.outcome] for record in records]
+    if not any(table is t for t in CORRECTION_TABLES.values()):
+        unitaries = [check_unitary(u, 2, "unitary for 1 targets") for u in unitaries]
+    remotes = _remote_pairs(records)
+    k = len(records)
+    # apply_unitary's arithmetic on each remote qubit; the remote and the
+    # corrected qubits are then checked as one stack
+    qubits = check_registers([*remotes, *(_embed_apply(pair, 1, [0], u)
+                                          for pair, u in zip(remotes, unitaries))])
+    devs = np.maximum(mirror_residuals(_post_states(records)),
+                      mirror_residuals(qubits[k:])).tolist()
+    return [TeleportationResult(record.outcome, record.probability,
+                                _fidelity(corrected, target.primary), dev)
+            for record, corrected, dev in zip(records, qubits[k:], devs)], index
 
 
 def run_teleportation(alpha, beta, resource=BellKind.PHI_MINUS, rng=None, table=None):
@@ -293,16 +334,17 @@ def swap_shots(shots, rng, outcome_map):
     two singlets; the outer pair collapses, via the shadow register, onto the
     predicted Bell state. Returns one SwapResult per distinct outcome and each
     shot's index into them."""
-
-    def result(record):
-        remote = record.remote_state_via_shadow
+    records, index = _single_step(swap_input_state(), ((1, 2), BELL_BASIS, BELL_LABELS),
+                                  shots, rng)
+    remotes = check_registers(_remote_pairs(records))
+    devs = np.maximum(mirror_residuals(_post_states(records)),
+                      mirror_residuals(remotes)).tolist()
+    results = []
+    for record, pair, dev in zip(records, remotes, devs):
         predicted = outcome_map[record.outcome]
-        dev = max(record.post_state.mirror_deviation(), remote.mirror_deviation())
-        return SwapResult(record.outcome, predicted, remote,
-                          fidelity(remote, bell_pair(predicted)), dev)
-
-    return _paths(swap_input_state(), [((1, 2), BELL_BASIS, BELL_LABELS)],
-                  rng.random((shots, 1)), result)
+        results.append(SwapResult(record.outcome, predicted, held_register(pair),
+                                  _fidelity(pair, bell_pair(predicted).primary), dev))
+    return results, index
 
 
 def run_entanglement_swap(rng=None, outcome_map=None):
@@ -338,19 +380,22 @@ def entangled_readout_demo(shots, rng=None):
         raise ValueError("shots must be >= 1")
     rng = rng or np.random.default_rng()
 
-    def result(rec0, rec1):
-        expected = from_amplitudes(Z_BASIS[:, rec0.outcome], 1)
-        return rec0.outcome, rec1.outcome, fidelity(rec0.remote_state_via_shadow, expected)
-
-    paths, index = _paths(bell_pair(BellKind.PHI_PLUS), [_step(0, Z_BASIS), _step(1, Z_BASIS)],
-                          rng.random((shots, 2)), result)
+    paths, index = measure_shots(bell_pair(BellKind.PHI_PLUS),
+                                 [_step(0, Z_BASIS), _step(1, Z_BASIS)], rng.random((shots, 2)))
+    firsts = [rec0 for rec0, _ in paths]
+    # each path's far qubit read from the shadow and the state its first
+    # outcome predicts, from_amplitudes's row of the basis column, in one stack
+    expected = (normalized(Z_BASIS[:, rec0.outcome], l2_norm, "coefficients") for rec0 in firsts)
+    qubits = check_registers([*_remote_pairs(firsts), *((v, v) for v in expected)])
+    k = len(paths)
+    fids = [_fidelity(remote, ket[0]) for remote, ket in zip(qubits[:k], qubits[k:])]
     counts, corr, ups = {}, 0, 0
-    for (s0, s1, _), n in zip(paths, np.bincount(index).tolist()):
+    for (rec0, rec1), n in zip(paths, np.bincount(index).tolist()):
+        s0, s1 = rec0.outcome, rec1.outcome
         counts[(s0, s1)] = n
         corr += n * (1 - 2 * s0) * (1 - 2 * s1)
         ups += n * (1 - s0)
-    min_fid = min([1.0] + [fid for _, _, fid in paths])
-    return ReadoutStats(shots, counts, corr / shots, min_fid, ups / shots)
+    return ReadoutStats(shots, counts, corr / shots, min([1.0] + fids), ups / shots)
 
 
 @dataclass(frozen=True)
@@ -365,10 +410,14 @@ class ProductStateStats:
     control_x_plus_fraction: float
 
 
+_PLUS = from_amplitudes([1.0, 1.0], 1)
+_PRODUCT_PLUS = tensor(_PLUS, _PLUS)
+
+
 def product_plus_state():
-    """(|u> + |d>)/sqrt2 on each of two qubits, no entanglement."""
-    plus = from_amplitudes([1.0, 1.0], 1)
-    return tensor(plus, plus)
+    """(|u> + |d>)/sqrt2 on each of two qubits, no entanglement: one prebuilt
+    read-only register."""
+    return _PRODUCT_PLUS
 
 
 def product_state_demo(shots, rng=None):
@@ -379,8 +428,7 @@ def product_state_demo(shots, rng=None):
         raise ValueError("shots must be >= 1")
     rng = rng or np.random.default_rng()
     u = rng.random((shots, 6))
-    plus = from_amplitudes([1.0, 1.0], 1)
-    state = tensor(plus, plus)
+    state = product_plus_state()
 
     # each shot draws, in order: measured case (qubit 0 read out first) in z
     # and in x, then the control case (qubit 0 untouched) in z and in x
@@ -392,6 +440,7 @@ def product_state_demo(shots, rng=None):
     mz, mx, cz, cx = [np.count_nonzero(np.array([p[-1].outcome for p in paths])[index] == 0)
                       / shots for paths, index in runs]
     # the shadow-read remote state of the measured z run, per distinct first record
-    firsts = dict.fromkeys(p[0] for p in runs[0][0])
-    min_fid = min([1.0] + [fidelity(rec.remote_state_via_shadow, plus) for rec in firsts])
+    firsts = list(dict.fromkeys(p[0] for p in runs[0][0]))
+    min_fid = min([1.0] + [_fidelity(pair, _PLUS.primary)
+                           for pair in check_registers(_remote_pairs(firsts))])
     return ProductStateStats(shots, abs(mz - cz), abs(mx - cx), min_fid, mz, cz, mx, cx)

@@ -11,6 +11,9 @@ Its comparisons fail closed, so NaN or inf in either record is rejected; it
 raises ``InvariantViolation`` naming the invariant, residual and tolerance.
 It returns the read-only ``(2, N)`` pair each dual object holds, whose rows
 are its two records; operations act on it in one call, so both change together.
+It also checks a ``(k, 2, N)`` stack of such pairs in one pass: the
+measurement walker and the protocols validate each outcome set's states as
+one stack (``check_registers``) rather than one ``DualRegister`` per outcome.
 """
 
 from __future__ import annotations
@@ -49,35 +52,55 @@ def read_only(a):
     return a
 
 
-def _mirror_residual(pair):
-    """Largest entry-wise |row 0 - row 1| of a pair, 0.0 when it is empty; NaN or
-    inf exactly when some entry of either row is non-finite."""
-    return float(np.abs(pair[0] - pair[1]).max(initial=0.0))
+def mirror_residuals(pairs):
+    """Largest entry-wise |row 0 - row 1| of a (2, N) pair, or of each pair of a
+    (k, 2, N) stack, 0.0 where N is 0; NaN or inf exactly where some entry of
+    either row is non-finite."""
+    return np.abs(pairs[..., 0, :] - pairs[..., 1, :]).max(axis=-1, initial=0.0)
 
 
 def mirror_deviation(dual):
     """The mirror residual of a dual object's held pair: the one method that
     DualRegister, DualFockState and WaveGrid bind."""
-    return _mirror_residual(dual.pair)
+    return float(mirror_residuals(dual.pair))
 
 
 def check_dual(kind, primary, shadow, norm):
     """The read-only complex (2, N) pair of a `kind` dual object, row 0 a copy of
     the primary and row 1 of the shadow, after checking its mirror contract;
     `norm` maps the primary to the quantity that must equal one, None where
-    unnormalized states are allowed."""
-    if np.shape(shadow) != np.shape(primary):
-        raise ValueError(f"{kind}: shadow has shape {np.shape(shadow)}, "
-                         f"primary {np.shape(primary)}")
-    pair = np.array((primary, shadow), dtype=complex)
-    residuals = [("mirror", _mirror_residual(pair))]
+    unnormalized states are allowed.
+
+    With `shadow` None, `primary` is a (k, 2, N) stack of such pairs, or an
+    empty sequence: every item is checked in the same pass, the error gives
+    the worst item's residual, and a read-only copy of the stack comes back."""
+    if shadow is None:
+        pairs = stack = np.array(primary, dtype=complex)
+        if stack.size == 0 and stack.ndim < 3:
+            pairs = stack = stack.reshape(0, 2, 0)
+        elif stack.ndim != 3 or stack.shape[1] != 2:
+            raise ValueError(f"{kind}: a stack of pairs has shape (k, 2, N), not {stack.shape}")
+    else:
+        if np.shape(shadow) != np.shape(primary):
+            raise ValueError(f"{kind}: shadow has shape {np.shape(shadow)}, "
+                             f"primary {np.shape(primary)}")
+        pairs = np.array((primary, shadow), dtype=complex)
+        stack = pairs[None]
+    residuals = [("mirror", float(mirror_residuals(stack).max(initial=0.0)))]
     if norm is not None:
-        residuals.append(("norm", abs(norm(pair[0]) - 1.0)))
+        norms = np.array([norm(row) for row in stack[:, 0]])
+        residuals.append(("norm", float(np.abs(norms - 1.0).max(initial=0.0))))
     for name, residual in residuals:
         tol = TOLERANCES[kind][name]
         if not residual <= tol:
             raise InvariantViolation(f"{kind}: {name} residual {residual:.3g} > tolerance {tol:g}")
-    return read_only(pair)
+    return read_only(pairs)
+
+
+def check_registers(pairs):
+    """check_dual of a (k, 2, 2**n) stack of register pairs: each item is
+    checked as a DualRegister's pair is, all in one call."""
+    return check_dual("register", pairs, None, l2_norm)
 
 
 def check_targets(n, targets):
@@ -140,6 +163,20 @@ class DualRegister:
     mirror_deviation = mirror_deviation
 
 
+def held_register(pair):
+    """The DualRegister holding `pair`, an item of a stack that check_registers
+    returned, without checking it again."""
+    reg = object.__new__(DualRegister)
+    vars(reg).update(qubit_count=pair.shape[-1].bit_length() - 1, pair=pair,
+                     primary=pair[0], shadow=pair[1])
+    return reg
+
+
+# the four Bell states, built and checked once
+_BELL_PAIRS = MappingProxyType({kind: DualRegister(2, amps, amps)
+                                for kind, amps in _BELL_AMPLITUDES.items()})
+
+
 def scaled(values):
     """(`values` * 2**-e as a complex array, e), with e the binary exponent of
     the largest magnitude: an exact scale after which norms of tiny or huge
@@ -171,9 +208,9 @@ def from_amplitudes(coeffs, qubit_count):
 
 
 def bell_pair(kind: BellKind):
-    """Two-qubit register in the named Bell state, shadow mirrored."""
-    vec = _BELL_AMPLITUDES[kind]
-    return DualRegister(2, vec, vec)
+    """Two-qubit register in the named Bell state, shadow mirrored: one
+    prebuilt read-only register per kind."""
+    return _BELL_PAIRS[kind]
 
 
 def tensor(a: DualRegister, b: DualRegister):

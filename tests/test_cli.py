@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
 
 from shadowsim.cli import (
@@ -13,6 +16,8 @@ from shadowsim.cli import (
     _merged_cell_starts,
     _merged_chisquare,
     _parse_complex,
+    _parser,
+    _read_table,
     run,
     to_csv,
     to_json,
@@ -582,13 +587,134 @@ def test_far_field_cell_narrower_than_the_slit_runs(tmp_path):
     assert code == 0
 
 
+# --- the option-table read against argparse ------------------------------------------
+
+def _subcommand_actions():
+    """{subcommand: {long option: its action}} off the parser."""
+    parser = _parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {option: action for action in p._actions
+                   for option in action.option_strings if option.startswith("--")}
+            for name, p in sub.choices.items()}
+
+
+ACTIONS = _subcommand_actions()
+# {subcommand: {long option: "value" | "flag" | None}}; None marks an option
+# the table does not read (--help)
+OPTIONS = {name: {option: "flag" if action.const is True
+                  else "value" if action.nargs is None else None
+                  for option, action in actions.items()}
+           for name, actions in ACTIONS.items()}
+
+
+def fitting_values(action):
+    """Texts the option's type and choices take."""
+    if action.choices is not None:
+        return st.sampled_from(list(action.choices))
+    if action.type is int:
+        return st.integers(-5, 10 ** 6).map(str)
+    if action.type is float:
+        return st.floats(allow_nan=False).map(repr)
+    if action.type is _parse_complex:
+        return st.complex_numbers(max_magnitude=2.0).map(lambda z: f"{z.real!r}{z.imag:+}j")
+    return st.text(min_size=1, max_size=8)
+# an option of another subcommand, one of none, and --help given a value
+FOREIGN = ["--modes", "--single-slit", "--bogus", "--help"]
+VALUE_TEXT = st.one_of(
+    st.sampled_from(["0", "1", "-1", "3", "50", "2.5", "-1e-3", "1e-3", "-2.5E+0", "inf",
+                     "-inf", "nan", "infj", "1e400", "abc", "", "--", "-", " 7", "1_000",
+                     "json", "csv", "xml", "phi-plus", "psi-minus", "PSI-PLUS", "boson",
+                     "fermion", "free", "harmonic", "0.3+0.1i", "-0.5+0.7i", "(0.6+0.8i)",
+                     "1i", "0.8j", "2+i", "out.json", "a=b"]),
+    st.integers(-10 ** 5, 10 ** 5).map(str),
+    st.floats().map(repr),
+    st.complex_numbers(max_magnitude=10.0).map(lambda z: f"{z.real!r}{z.imag:+}i"),
+)
+FORMS = ["equals"] * 12 + ["bare", "spaced", "abbreviated", "help"]
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand (rarely something else) and up to six option tokens, the
+    "--name=value" form and a value the option takes most often, repeats
+    allowed."""
+    name = draw(st.sampled_from(sorted(OPTIONS) * 6 + ["tele", "-h", "--seed=1"]))
+    options = sorted(set(OPTIONS.get(name, {})) - {"--help"}) * 4 + FOREIGN
+    argv = [name]
+    for _ in range(draw(st.integers(0, 6))):
+        option, form = draw(st.sampled_from(options)), draw(st.sampled_from(FORMS))
+        action = ACTIONS.get(name, {}).get(option)
+        fits = action is not None and draw(st.integers(0, 3)) > 0
+        value = draw(fitting_values(action) if fits else VALUE_TEXT)
+        if form == "equals":
+            argv.append(f"{option}={value}")
+        elif form == "bare":
+            argv.append(option)
+        elif form == "spaced":
+            argv += [option, value]
+        elif form == "abbreviated":
+            argv.append(f"{option[:max(3, len(option) - 2)]}={value}")
+        else:
+            argv.append("-h")
+    return argv
+
+
+def _table_form(argv):
+    """Whether every token after the subcommand is "--name=value" with an exact
+    long option that takes a value, or a bare flag; "--" is no value."""
+    kinds = OPTIONS.get(argv[0])
+    if kinds is None:
+        return False
+    for token in argv[1:]:
+        option, eq, value = token.partition("=")
+        if kinds.get(option) != ("value" if eq else "flag") or value == "--":
+            return False
+    return True
+
+
+def _argparse_outcome(argv):
+    """(vars of parse_args(argv), None), or (None, exit code), output swallowed."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_parser().parse_args(argv)), None
+        except SystemExit as exc:
+            return None, exc.code
+
+
+def _plain_vars(namespace_vars):
+    # repr tells nan from nan, -0.0 from 0.0 and 1 from 1.0
+    return {key: repr(value) for key, value in namespace_vars.items()}
+
+
+@settings(max_examples=600, deadline=None)
+@given(cli_argvs())
+@example(["teleport", "--shots=400", "--alpha=-0.11078672526095844-0.45946259231104403j",
+          "--beta=0.3621876603984881+0.80339313317194694j", "--resource=psi-plus",
+          "--format=csv", "--seed=3", "--output=doc"])
+@example(["doubleslit", "--single-slit", "--bins=32", "--single-slit"])
+@example(["teleport", "--resource=phi-plus", "--resource=bogus"])
+@example(["algebra", "--statistics=bosons"])
+@example(["evolve", "--x0=-1e-3", "--xmin=-inf"])
+@example(["teleport", "--output=--"])
+def test_table_read_equals_argparse(argv):
+    parsed, code = _argparse_outcome(argv)
+    read = _read_table(list(argv))
+    if read is not None:
+        assert parsed is not None and _plain_vars(vars(read)) == _plain_vars(parsed)
+    if code == 2:
+        assert read is None
+    if parsed is not None and _table_form(argv):
+        assert read is not None
+    assert code in (None, 0, 2)
+
+
 # --- validated register builds per request --------------------------------------------------
 
 @pytest.mark.parametrize("argv,builds", [
-    (["teleport", "--shots", "200"], 15),
-    (["swap", "--shots", "200"], 15),
-    (["readout", "--shots", "550"], 7),
-    (["product", "--shots", "175"], 8),
+    (["teleport", "--shots", "200"], 4),
+    (["swap", "--shots", "200"], 2),
+    (["readout", "--shots", "550"], 2),
+    (["product", "--shots", "175"], 3),
 ])
 def test_validated_register_builds_per_request(argv, builds, monkeypatch, tmp_path):
     # measurement records build their registers only when read: a request
@@ -606,6 +732,28 @@ def test_validated_register_builds_per_request(argv, builds, monkeypatch, tmp_pa
     code, _ = invoke(argv, tmp_path)
     assert code == 0
     assert kinds.count("register") == builds
+
+
+def test_teleport_with_one_broken_shadow_row_exits_1_with_one_line(monkeypatch, tmp_path,
+                                                                   capsys):
+    # one outcome's remote qubit, read from the shadow, breaks the mirror: the
+    # stack it is checked in fails closed, and the request names the invariant
+    from shadowsim import protocols
+
+    remote_pairs = protocols._remote_pairs
+
+    def broken(records):
+        pairs = remote_pairs(records)
+        pairs[-1, 1, 0] += 1e-6
+        return pairs
+
+    monkeypatch.setattr(protocols, "_remote_pairs", broken)
+    with pytest.raises(SystemExit) as exc:
+        run(["teleport", "--shots=200", f"--output={tmp_path / 'doc'}"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == (
+        "shadowsim teleport: invariant violation: register: mirror residual 1e-06 "
+        "> tolerance 1e-12\n")
 
 
 # --- scipy off the import path -----------------------------------------------------------

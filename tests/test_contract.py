@@ -18,9 +18,12 @@ from shadowsim.register import (
     TOLERANCES,
     BellKind,
     DualRegister,
+    InvariantViolation,
     bell_pair,
     check_dual,
+    check_registers,
     from_amplitudes,
+    l2_norm,
 )
 from shadowsim.waves import (
     Potential,
@@ -114,6 +117,70 @@ def test_check_dual_shape_mismatch():
         check_dual("register", [1.0, 0.0], [1.0, 0.0, 0.0], None)
 
 
+# --- the stack form of check_dual ---------------------------------------------------
+
+def clean_stack(k=4, size=8, seed=0):
+    """A (k, 2, size) stack of mirrored unit-norm register pairs."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((k, size)) + 1j * rng.standard_normal((k, size))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return np.stack([v, v], axis=1)
+
+
+@pytest.mark.parametrize("row", [0, 1], ids=["primary", "shadow"])
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan),
+                                 complex(np.inf, 0.0), complex(0.0, -np.inf)])
+def test_stack_check_rejects_a_non_finite_entry_in_one_item(row, bad):
+    stack = clean_stack()
+    stack[2, row, 5] = bad
+    with pytest.raises(InvariantViolation,
+                       match=r"^register: mirror residual (nan|inf) > tolerance 1e-12$"):
+        check_dual("register", stack, None, l2_norm)
+
+
+def test_stack_check_rejects_a_non_finite_entry_in_both_rows():
+    # the mirror residual of inf against inf is NaN; the norm is inf either way
+    stack = clean_stack()
+    stack[1, :, 0] = np.inf
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(InvariantViolation, match=r"^register: mirror residual nan > "):
+        check_dual("register", stack, None, l2_norm)
+
+
+def test_stack_check_names_the_worst_mirror_break():
+    stack = clean_stack()
+    stack[0, 1, 3] += 2e-12
+    stack[3, 1, 0] += 5e-12
+    with pytest.raises(InvariantViolation,
+                       match=r"^register: mirror residual 5e-12 > tolerance 1e-12$"):
+        check_dual("register", stack, None, l2_norm)
+
+
+def test_stack_check_names_the_worst_norm_break():
+    stack = clean_stack()
+    stack[1] *= 1.0 + 3e-10
+    stack[2] *= 1.0 - 1e-9
+    with pytest.raises(InvariantViolation,
+                       match=r"^register: norm residual 1e-09 > tolerance 1e-12$"):
+        check_dual("register", stack, None, l2_norm)
+
+
+def test_clean_stack_comes_back_as_a_read_only_copy():
+    stack = clean_stack()
+    held = check_registers(stack)
+    assert not held.flags.writeable
+    assert not np.shares_memory(held, stack)
+    assert np.array_equal(held, stack)
+    with pytest.raises(ValueError):
+        held[0, 0, 0] = 0.0
+    assert check_registers([]).shape == (0, 2, 0)
+
+
+def test_stack_check_rejects_a_stack_that_is_not_of_pairs():
+    with pytest.raises(ValueError, match="stack of pairs"):
+        check_dual("register", clean_stack()[:, :1], None, l2_norm)
+
+
 # --- the held pair ----------------------------------------------------------------
 
 FOCK_GRID = ModeGrid((0.0, 1.0), max_occupation=1)
@@ -158,7 +225,8 @@ def test_dual_object_holds_one_read_only_pair(kind):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: bell_pair(BellKind.PHI_PLUS),
+    # bell_pair returns one prebuilt register per kind, so two calls give one object
+    lambda: from_amplitudes([1.0, 1.0], 1),
     lambda: from_samples(0.0, 2.0, np.ones(32)),
     lambda: bell_measure(bell_pair(BellKind.PHI_PLUS), (0, 1), StubRng(0.0)),
     lambda: Potential(np.zeros(16)),

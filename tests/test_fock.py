@@ -522,7 +522,7 @@ def test_kernel_sums_in_the_concatenating_order_on_any_maps():
 
 def test_residual_memory_is_a_fixed_multiple_of_the_map_stacks():
     # the lowering and raising stacks take 2 modes*dim*16 bytes and one pair's
-    # residual temporaries about 1.5 times modes*dim*16 more, 3.49 in all; a
+    # residual temporaries about 1.07 times modes*dim*16 more, 3.07 in all; a
     # setup that keeps a whole (modes, dim) array beside the stacks through the
     # residual loop, such as the basis digits (3.99), breaks the bound
     grid = boson_grid(6, 4)

@@ -148,6 +148,61 @@ DIGESTS = {
 
 }
 
+# every option as one "--name=value" token, the form the benchmark sends, with
+# alpha and beta written to 17 significant digits as bench/workloads.py writes
+# them; digests taken at commit 1c2abdaf37eb42ba7d44e4cbe005f630908590e2,
+# where every argv still went through argparse
+TABLE_CASES = {
+    "teleport-phi-plus": ["teleport", "--shots=400",
+                          "--alpha=-0.11078672526095844-0.45946259231104403j",
+                          "--beta=0.3621876603984881+0.80339313317194694j",
+                          "--resource=phi-plus", "--format=json"],
+    "teleport-phi-minus": ["teleport", "--shots=400",
+                           "--alpha=0.22808853280055141+0.62241842555099691j",
+                           "--beta=0.62761592794288079+0.40825135851813982j",
+                           "--resource=phi-minus", "--format=csv"],
+    "teleport-psi-plus": ["teleport", "--shots=400",
+                          "--alpha=0.39321211498748376+0.55061419936902656j",
+                          "--beta=-0.11770587149143195-0.72687933241819336j",
+                          "--resource=psi-plus", "--format=json"],
+    "teleport-psi-minus": ["teleport", "--shots=400",
+                           "--alpha=-0.90564127991934273+0.34953067645915525j",
+                           "--beta=0.23939535644235982-0.018222009600904115j",
+                           "--resource=psi-minus", "--format=json"],
+    "swap": ["swap", "--shots=400"],
+    "readout": ["readout", "--shots=1000"],
+    "product": ["product", "--shots=300"],
+    "collapse": ["collapse", "--shots=3000", "--points=1024", "--zones=8"],
+    "bell": ["bell"],
+    "algebra": ["algebra", "--modes=4", "--nmax=4"],
+    "algebra-fermion": ["algebra", "--modes=5", "--nmax=1", "--statistics=fermion"],
+}
+
+TABLE_DIGESTS = {
+    "algebra/1": "eb991aaa0005d330ce2f8b2133f7ce1669a6ea41188ef458ea5484230e3d1464",
+    "algebra/2": "46a56b053da161301a230c4a2ec3f1a5ed0a4635d2698f7fa4648d94c98e1b3c",
+    "algebra-fermion/1": "b57dfa956839ea69cf754989d749f0d5007344e32d33909f652ac7352849f2de",
+    "algebra-fermion/2": "0846ac3699a4ce7460a898b0ec5774cc514eaaa4c7267adf5c59fe797082e2c8",
+    "bell/1": "3be80321a1dc2362b0ae86908c5be07faeb60de40dd3bdcf0f466e149976b0ae",
+    "bell/2": "da5077cfdca125a2b4b41258ff493da98c84feadd2c7ae1905f8826411753e87",
+    "collapse/1": "c43f3d2c625cc874cf6fe60a9622ce14bba0481e588c5cf0ae13afd898a91b30",
+    "collapse/2": "fa2c29eb26262471d219b88cc9882d03a969a6e933369f9206606ece893e8d7d",
+    "product/1": "f234fbe266cceb6accb44c118ba6931b2bb6b867a81f112af8ed5a2c5cb18894",
+    "product/2": "a65dce9a7b7d62b496bf679d888f5a160b3ab9365b359dbcbf0e883d78b127cd",
+    "readout/1": "b3022373867a6de12ba3d05d2e2a19b084c22d298ccf8110d86a4b86819280d9",
+    "readout/2": "3b4619c2d25bba7f23571b97213db8a7d5d1249b97d20d7683efc729cc3d93d0",
+    "swap/1": "baf94b6efcf095fb727024e7abe7a312a48ab0220e09df865ca966eb8d1b0d0d",
+    "swap/2": "33cb091ec11e8dcc05094d4d73dd89ce2ccd4f319f257b97a0aeed273f881d74",
+    "teleport-phi-minus/1": "67941ee7d13f5e765029cc2036d60a31eae373634cd58a391ad5066f23bb4587",
+    "teleport-phi-minus/2": "656be1278b862952688d12c5fcfce7da1e6b7bafc8a36d43b3528bdcc8135f89",
+    "teleport-phi-plus/1": "56f430c8f04a906ea65fde812d23722f2acd1bd67c1f3ef82ce7af2a6939df6b",
+    "teleport-phi-plus/2": "02188a5714bd9064975b3a7cee131dc794d3ff6be493dca8dd35bcd72d141a92",
+    "teleport-psi-minus/1": "cece5d5b48d52206c3f5047e9084d473cf703c35ef589c166aaa3f2570835e0f",
+    "teleport-psi-minus/2": "1569c4c882739afaeb4b0554f056f96252f5cd4af1329b01047c2f692838dead",
+    "teleport-psi-plus/1": "184a4cc62603675e35bdab98719d8b0602b433560be94629210076ea494db9d5",
+    "teleport-psi-plus/2": "d3d97ddf11fa5eec7957f11b39fa68b4921629a9d15b5f13a0f6ce34e1033633",
+}
+
 # `shadowsim [SUB] --help` at COLUMNS=80, taken at commit
 # 73e2d628e91eddca8ca54d972f10043bb620a50b; argparse's layout differs
 # between Python versions, so these hold for CPython 3.11
@@ -200,6 +255,16 @@ def test_document_bytes_pinned(name, seed, tmp_path):
     code, digest = document_digest(argv, tmp_path / "doc")
     assert code in (0, 1)
     assert digest == DIGESTS[f"{name}/{seed}"], " ".join(argv)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_table_form_document_bytes_pinned(name, seed, tmp_path):
+    path = tmp_path / "doc"
+    argv = TABLE_CASES[name] + [f"--seed={seed}", f"--output={path}"]
+    assert run(argv) in (0, 1)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == TABLE_DIGESTS[f"{name}/{seed}"], " ".join(argv)
 
 
 @pytest.mark.parametrize("sub", sorted(HELP_DIGESTS))

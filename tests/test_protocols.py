@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from shadowsim.measurement import BELL_BASIS, BELL_LABELS, measure_shots
 from shadowsim.protocols import (
     CORRECTION_TABLES,
     SWAP_OUTCOME_MAP,
@@ -18,11 +20,13 @@ from shadowsim.protocols import (
     swap_decomposition,
     swap_input_state,
     swap_outcome_map,
+    swap_shots,
     teleport_decomposition,
     teleport_input_state,
+    teleportation_shots,
 )
-from shadowsim.register import (BellKind, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, bell_pair,
-                                fidelity, from_amplitudes)
+from shadowsim.register import (BellKind, DualRegister, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z,
+                                apply_unitary, bell_pair, fidelity, from_amplitudes)
 
 
 # --- brute-force decomposition oracle -------------------------------------------
@@ -262,11 +266,15 @@ def test_swap_psi_plus_pairing():
 
 
 def test_premeasurement_outer_pair_maximally_mixed():
-    # marginal oracle: every Bell outcome on the outer pair is equiprobable
-    from shadowsim.measurement import bell_outcome_probabilities
-    probs = bell_outcome_probabilities(swap_input_state(), (0, 3))
-    for kind in BellKind:
-        assert probs[kind] == pytest.approx(0.25, abs=1e-12)
+    # marginal oracle: every Bell outcome on the outer pair (qubits 0 and 3) is
+    # equiprobable, each probability the squared norm of <bell|_{03} psi
+    # contracted from the input amplitudes, with the Bell kets written out
+    s = 1.0 / np.sqrt(2.0)
+    kets = np.array([[s, 0, 0, s], [s, 0, 0, -s], [0, s, s, 0], [0, s, -s, 0]])
+    psi = swap_input_state().primary.reshape(2, 2, 2, 2)
+    branches = np.einsum("kad,abcd->kbc", kets.conj().reshape(4, 2, 2), psi)
+    probs = np.einsum("kbc,kbc->k", branches.conj(), branches).real
+    np.testing.assert_allclose(probs, 0.25, rtol=0, atol=1e-12)
 
 
 def test_swap_outcome_frequencies():
@@ -278,6 +286,68 @@ def test_swap_outcome_frequencies():
         counts[run_entanglement_swap(rng, mapping).outcome] += 1
     chi = stats.chisquare(list(counts.values()))
     assert chi.pvalue > 0.001
+
+
+# --- per-outcome rows against the registers they replace --------------------------
+
+UNIT_PAIRS = st.tuples(st.complex_numbers(max_magnitude=1e3), st.complex_numbers(max_magnitude=1e3)
+                       ).filter(lambda ab: 1e-150 < abs(ab[0]) + abs(ab[1]))
+
+
+def walked_records(state, step, shots, seed):
+    paths, _ = measure_shots(state, [step], np.random.default_rng(seed).random((shots, 1)))
+    return [record for record, in paths]
+
+
+@settings(max_examples=150, deadline=None)
+@given(UNIT_PAIRS, st.sampled_from(list(BellKind)), st.integers(1, 300),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_teleport_rows_equal_the_registers_bit_for_bit(ab, resource, shots, seed, literal):
+    # each result as the register API makes it: the shadow-read remote register,
+    # apply_unitary, fidelity and both mirror deviations; a table that is not
+    # one of CORRECTION_TABLES is checked on every request
+    alpha, beta = ab
+    table = CORRECTION_TABLES[resource]
+    if not literal:
+        table = {kind: np.array(u) for kind, u in table.items()}
+    results, _ = teleportation_shots(alpha, beta, resource, shots,
+                                     np.random.default_rng(seed), table)
+    target = from_amplitudes([alpha, beta], 1)
+    records = walked_records(teleport_input_state(alpha, beta, resource),
+                             ((0, 1), BELL_BASIS, BELL_LABELS), shots, seed)
+    assert len(results) == len(records)
+    for result, record in zip(results, records):
+        corrected = apply_unitary(record.remote_state_via_shadow, [0], table[record.outcome])
+        assert result.outcome == record.outcome
+        assert result.probability == record.probability
+        assert result.fidelity_with_input == fidelity(corrected, target)
+        assert result.shadow_deviation == max(record.post_state.mirror_deviation(),
+                                              corrected.mirror_deviation())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 2 ** 32 - 1))
+def test_swap_rows_equal_the_registers_bit_for_bit(shots, seed):
+    results, _ = swap_shots(shots, np.random.default_rng(seed), SWAP_OUTCOME_MAP)
+    records = walked_records(swap_input_state(), ((1, 2), BELL_BASIS, BELL_LABELS), shots, seed)
+    assert len(results) == len(records)
+    for result, record in zip(results, records):
+        remote = record.remote_state_via_shadow
+        predicted = SWAP_OUTCOME_MAP[record.outcome]
+        assert isinstance(result.remote_pair, DualRegister)
+        assert result.remote_pair.qubit_count == 2
+        assert np.array_equal(result.remote_pair.pair, remote.pair)
+        assert not result.remote_pair.pair.flags.writeable
+        assert result.fidelity_with_prediction == fidelity(remote, bell_pair(predicted))
+        assert result.shadow_deviation == max(record.post_state.mirror_deviation(),
+                                              remote.mirror_deviation())
+
+
+def test_an_unchecked_table_is_still_checked():
+    table = dict(CORRECTION_TABLES[BellKind.PHI_MINUS])
+    table[BellKind.PHI_PLUS] = 1.1 * PAULI_I
+    with pytest.raises(ValueError, match="not unitary"):
+        teleportation_shots(0.6, 0.8j, BellKind.PHI_MINUS, 50, np.random.default_rng(0), table)
 
 
 # --- readout demos ------------------------------------------------------------------
