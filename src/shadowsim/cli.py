@@ -301,8 +301,8 @@ def _cmd_algebra(args, rng):
     # - b_i^dag b_i - I rounds.  Its entry at occupation n < nmax is
     # fl(s(n+1)^2) - fl(s(n)^2) - 1 with s(k) = fl(sqrt(k)); each square is
     # k(1 + d), |d| <= 3.01u (u = eps/2), and both subtractions are exact
-    # (Sterbenz), so |entry| <= 3.01u(2n + 1) < 4(nmax + 1)eps.  A row or
-    # column of the block holds one entry, so the residual is the largest.
+    # (Sterbenz), so |entry| <= 3.01u(2n + 1) < 4(nmax + 1)eps.  Both products
+    # move column c to one row c + shift, so the residual is the largest |entry|.
     # The bound passes 1e-12 from nmax 1125 on; below it the tolerance is 1e-12
     tol = max(1e-12, 4 * (grid.max_occupation + 1) * sys.float_info.epsilon)
     invariants = {"algebra_residuals": _invariant(worst, tol)}

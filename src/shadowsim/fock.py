@@ -6,14 +6,14 @@ columns follow ``index``: row 0 the primary amplitudes, row 1 the mirrored
 shadow.  Its ``primary`` and ``shadow`` maps from occupation tuples are built
 on read.  An occupation's basis index is its dot product with ``_place_values``.
 
-One builder, ``_ladder``, gives a ladder operator's column maps on a set of
-basis indices for every mode at once, as stacks with one contiguous row per
-mode, which every operator reads after one range check: ``_apply_ladder`` on a
+One builder, ``_ladder``, gives a ladder operator on a set of basis indices for
+every mode at once: mode m moves column c to row c + shifts[m] with factor
+factors[m, c], 0.0 where the row would leave the basis.  Every operator reads
+its mode's shift and factor row after one range check: ``_apply_ladder`` on a
 state's indices, ``annihilation_matrix`` on the basis.  The (anti)commutator
-residuals share one setup, the guarded sector and the lowering and raising
-stacks of the basis; ``_bracket_residual`` merges each pair's composed maps,
-takes each column's sum elementwise from its three candidates and the row sums
-from one bincount over the kept entries, with no 3*dim concatenation.
+residuals share one setup, the guarded sector and the ladder maps of the basis;
+both products of a pair shift every column alike, so each residual block is a
+partial permutation and ``_bracket_residual`` takes its largest magnitude.
 """
 
 from __future__ import annotations
@@ -195,16 +195,13 @@ def _digits(grid, index=None):
 
 
 def _ladder(grid, index, delta):
-    """Column maps of the lowering (delta -1) or raising (delta +1) operator of
-    every mode on the basis states `index`, as (modes, len(index)) stacks: under
-    mode m, column c goes to rows[m, c] with factor factors[m, c], sqrt(max(n,
-    n + delta)) or for fermions the Jordan-Wigner sign of a cumulative sum of
-    occupations, or from the edge n + delta would pass nowhere (-1, factor 0.0).
-    One mode's digits fill each row, so no (modes, len(index)) temporary is
-    made.  The order of the two stacks does not matter to the residuals, whose
-    temporaries peak at 32-38 MB a pair at 8 modes, cutoff 4: there `rows`
-    first or last ran in 1.9-2.3 s with 25-30 thousand minor page faults either
-    way (2-core Xeon, one BLAS thread)."""
+    """The lowering (delta -1) or raising (delta +1) operator of every mode on
+    the basis states `index`, as (shifts, factors): under mode m, column c goes
+    to row c + shifts[m] with factor factors[m, c], sqrt(max(n, n + delta)) or
+    for fermions the Jordan-Wigner sign of a cumulative sum of occupations; at
+    the edge, where n + delta leaves [0, max_occupation], the factor is 0.0 and
+    the column goes nowhere.  One mode's digits fill each factor row, so no
+    (modes, len(index)) temporary is made."""
     place = _place_values(grid)
     factors = np.empty((grid.mode_count, index.size))
     before = np.zeros(index.size, dtype=int)
@@ -214,28 +211,25 @@ def _ladder(grid, index, delta):
                      else np.sqrt(np.maximum(n, n + delta)))
         factor[n == (grid.max_occupation if delta > 0 else 0)] = 0.0
         before += n
-    rows = np.add.outer(delta * place, index)
-    for row, factor in zip(rows, factors):
-        row[factor == 0] = -1
-    return rows, factors
+    return delta * place, factors
 
 
 def _row(maps, mode):
-    """Row `mode` of `_ladder` stacks, checked first: a negative one would wrap."""
-    rows, factors = maps
-    if not 0 <= mode < len(rows):
+    """Mode `mode`'s shift and factor row of `_ladder` maps; a negative mode would wrap."""
+    shifts, factors = maps
+    if not 0 <= mode < len(shifts):
         raise IndexError(f"mode {mode} out of range")
-    return rows[mode], factors[mode]
+    return shifts[mode], factors[mode]
 
 
 def _apply_ladder(state, mode, delta, normalize):
-    rows, factors = _row(_ladder(state.grid, state.index, delta), mode)
+    shift, factors = _row(_ladder(state.grid, state.index, delta), mode)
     amps = factors * state.pair[0]
-    # a column with no row has factor 0.0 and drops with the exact zeros; the
-    # one physical amplitude is shared by both registers: every factor is
-    # applied once, then mirrored into the shadow row; rows keep index order
+    # an edge column has factor 0.0 and drops with the exact zeros; the one
+    # physical amplitude is shared by both registers: every factor is applied
+    # once, then mirrored into the shadow row; one shift keeps index order
     keep = amps != 0
-    out = _held(state.grid, rows[keep], amps[keep])
+    out = _held(state.grid, state.index[keep] + shift, amps[keep])
     return out.normalized() if normalize and not out.is_zero else out
 
 
@@ -258,10 +252,10 @@ def apply_b(state, mode, normalize=False):
 
 def annihilation_matrix(grid, mode):
     """Dense matrix of the combined operator b_mode on the truncated space."""
-    rows, factors = _row(_ladder(grid, np.arange(grid.dim), -1), mode)
-    cols = np.flatnonzero(rows >= 0)
+    shift, factors = _row(_ladder(grid, np.arange(grid.dim), -1), mode)
+    cols = np.flatnonzero(factors)
     mat = np.zeros((grid.dim, grid.dim), dtype=complex)
-    mat[rows[cols], cols] = factors[cols]
+    mat[cols + shift, cols] = factors[cols]
     return mat
 
 
@@ -289,55 +283,29 @@ _SIGNS = {"boson": -1, "fermion": 1}
 
 
 def _compose(outer, inner):
-    """Column map of the product outer @ inner of two column maps."""
-    mid, factors = inner
-    return np.where(mid >= 0, outer[0][mid], -1), outer[1][mid] * factors
+    """Factors of the product outer @ inner of two maps, which shifts by the sum
+    of their shifts.  Where inner's row leaves the basis its factor is 0.0, so
+    the factor the roll brings round is multiplied by zero."""
+    (_, outer_factors), (shift, inner_factors) = outer, inner
+    return np.roll(outer_factors, -shift) * inner_factors
 
 
 def _bracket_residual(grid, bi, x, delta_ij, keep, sign):
     """Norm of b_i X + sign X b_i - delta_ij I on the guarded sector `keep`,
-    from the column maps `bi` of b_i and `x` of X.  The continuum delta is
-    realized as a Kronecker delta with unit mode volume.
-
-    The norm is sqrt(||A||_1 ||A||_inf) of the residual block A (0.0 when A is
-    empty): an upper bound on the spectral norm, equal to it here because
-    every row and column of A holds at most one entry.
-
-    Each map holds one entry per column, so column c has three candidates:
-    segment 1 at row r1[c], segment 2 at r2[c] and the identity at c.  Equal
-    rows merge into the first, summed in the order of the dense sum
-    (t1 + sign t2) - I.  A column's sum is then the elementwise (m1 + m2) + m3
-    of the kept magnitudes, 0.0 for an entry left out; the row sums are one
-    bincount over the kept entries in segment order.  Both add the entries in
-    the order a bincount over the three segments laid end to end (3*dim rows,
-    columns and values) would, so the residual equals that form's to the bit,
-    with none of its 3*dim arrays."""
-    (r1, t1), (r2, t2) = _compose(bi, x), _compose(x, bi)
-    same = r2 == r1
-    s2 = sign * t2
-    v1 = t1 + np.where(same, s2, 0.0)
-    in1 = (r1 >= 0) & keep[r1] & keep
-    in2 = (r2 >= 0) & keep[r2] & keep & ~same
-    if delta_ij:
-        cols = np.arange(grid.dim)
-        d1, d2 = r1 == cols, r2 == cols
-        v1 -= d1
-        s2 = s2 - d2
-        in3 = keep & ~(d1 | d2)
-    m1 = np.where(in1, np.abs(v1), 0.0)
-    m2 = np.where(in2, np.abs(s2), 0.0)
-    col_sum = m1 + m2
-    rows, mags = [r1[in1], r2[in2]], [m1[in1], m2[in2]]
-    if delta_ij:
-        col_sum += in3
-        rows.append(cols[in3])
-        mags.append(np.ones(len(rows[2])))
-    row_sum = np.bincount(np.concatenate(rows), np.concatenate(mags), minlength=1).max()
-    return float(np.sqrt(col_sum.max() * row_sum))
+    from the maps `bi` of b_i and `x` of X, whose shifts cancel if `delta_ij`.
+    The continuum delta is realized as a Kronecker delta with unit mode volume.
+    Both products move column c to row c + shift, so the residual block is a
+    partial permutation: its spectral norm is its largest magnitude, 0.0 when
+    the block is empty."""
+    shift = bi[0] + x[0]
+    entries = _compose(bi, x) + sign * _compose(x, bi) - delta_ij
+    lo, span = max(0, -shift), max(0, grid.dim - abs(shift))
+    kept = keep[lo:lo + span] & keep[lo + shift:lo + shift + span]
+    return float(np.abs(entries[lo:lo + span][kept]).max(initial=0.0))
 
 
 def _residuals(grid, pairs):
-    """The `bracket_residuals` rows of `pairs`, from one guarded mask and two stacks."""
+    """The `bracket_residuals` rows of `pairs`, from one guarded mask and two maps."""
     keep = guarded_sector_projector(grid)
     lower, upper = (_ladder(grid, np.arange(grid.dim), delta) for delta in (-1, 1))
     sign = _SIGNS[grid.statistics]

@@ -460,10 +460,21 @@ def test_residuals_equal_dense_oracle_spectral_norm(grid, annihilation_pair):
 
 
 def reference_bracket_residual(grid, bi, x, delta_ij, keep, sign):
-    """The concatenating kernel `fock._bracket_residual` replaced: the three
-    candidate segments laid end to end as 3*dim rows, columns and values,
-    summed per column and per row by two bincounts."""
-    (r1, t1), (r2, t2) = fock._compose(bi, x), fock._compose(x, bi)
+    """The concatenating kernel `fock._bracket_residual` replaced, on the row
+    maps that the (shift, factors) maps `bi` and `x` stand for (column c to row
+    c + shift where its factor is nonzero, else to -1, nowhere), composed by
+    index gathers: the three candidate segments laid end to end as 3*dim rows,
+    columns and values, summed per column and per row by two bincounts."""
+    def row_map(maps):
+        shift, factors = maps
+        return np.where(factors != 0, np.arange(grid.dim) + shift, -1), factors
+
+    def compose(outer, inner):
+        (rows, outer_factors), (mid, inner_factors) = outer, inner
+        return np.where(mid >= 0, rows[mid], -1), outer_factors[mid] * inner_factors
+
+    bi, x = row_map(bi), row_map(x)
+    (r1, t1), (r2, t2) = compose(bi, x), compose(x, bi)
     cols = np.arange(grid.dim)
     r3 = cols if delta_ij else np.full(grid.dim, -1)
     v1 = t1 + np.where(r2 == r1, sign * t2, 0.0) - (r3 == r1)
@@ -501,30 +512,64 @@ def test_residuals_equal_the_concatenating_kernel_bit_for_bit(grid):
         assert got == bracket_residuals(grid)
 
 
-def random_column_map_cases(rng, count):
-    """Two arbitrary column maps on a dim-2 to dim-32 space, a mask, a sign
-    and the identity on or off.  Rows collide, so a column or a row can keep
-    two or three entries, which no ladder pair does; factors take every
-    mantissa bit, so the order of each sum shows in its rounding."""
+@settings(deadline=None)
+@given(small_grids())
+@example(boson_grid(1, 1))
+@example(fermion_grid(4))
+def test_ladder_maps_move_one_mode_by_delta_and_zero_the_edge(grid):
+    # what the residual kernel relies on: a nonzero factor's row c + shift is
+    # in the basis and differs from c in mode m alone, by delta; a zero factor
+    # marks the edge, so what the roll in `_compose` wraps round is zeroed
+    shape = (grid.mode_dim,) * grid.mode_count
+    cols = np.arange(grid.dim)
+    occ = np.array(np.unravel_index(cols, shape))
+    for delta in (-1, 1):
+        shifts, factors = fock._ladder(grid, cols, delta)
+        for m, (shift, factor) in enumerate(zip(shifts, factors)):
+            target = occ[m] + delta
+            assert np.array_equal(factor == 0, (target < 0) | (target > grid.max_occupation))
+            moved = np.flatnonzero(factor)
+            rows = moved + shift
+            assert ((rows >= 0) & (rows < grid.dim)).all()
+            step = np.array(np.unravel_index(rows, shape)) - occ[:, moved]
+            assert (step[m] == delta).all() and not np.delete(step, m, axis=0).any()
+
+
+def random_shift_map(rng, dim, shift):
+    """Factors on a dim-column space that use every mantissa bit, 0.0 where
+    the row c + shift leaves the basis and at random further columns."""
+    rows = np.arange(dim) + shift
+    factors = rng.uniform(-4, 4, dim)
+    factors[(rows < 0) | (rows >= dim) | (rng.random(dim) < 0.2)] = 0.0
+    return shift, factors
+
+
+def random_shift_map_cases(rng, count):
+    """Two shift maps on a dim-2 to dim-32 space with shifts in (-dim, dim),
+    a mask, a sign, and the identity on or off where the shifts cancel, as
+    they do in half the cases.  A shift map sends two columns to two rows, so
+    the colliding maps the concatenating form also summed cannot be drawn."""
     for _ in range(count):
         dim = int(rng.integers(2, 33))
-        maps = [(rng.integers(-1, dim, dim), rng.uniform(-4, 4, dim)) for _ in range(2)]
-        yield (ModeGrid((0.0,), dim - 1), *maps, bool(rng.integers(2)),
+        shift = int(rng.integers(-dim + 1, dim))
+        back = -shift if rng.integers(2) else int(rng.integers(-dim + 1, dim))
+        bi, x = random_shift_map(rng, dim, shift), random_shift_map(rng, dim, back)
+        yield (ModeGrid((0.0,), dim - 1), bi, x, back == -shift and bool(rng.integers(2)),
                rng.random(dim) < 0.8, int(rng.choice([-1, 1])))
 
 
 def test_kernel_sums_in_the_concatenating_order_on_any_maps():
-    # a last-bit change reaches the residual only when it hits the largest
-    # column or row sum, about once in a hundred cases
-    for case in random_column_map_cases(np.random.default_rng(20), 4000):
+    # the largest magnitude equals sqrt(||A||_1 ||A||_inf) to the bit, with
+    # t1 + sign t2 - I summed in the order of the dense sum
+    for case in random_shift_map_cases(np.random.default_rng(20), 4000):
         assert fock._bracket_residual(*case) == reference_bracket_residual(*case)
 
 
 def test_residual_memory_is_a_fixed_multiple_of_the_map_stacks():
-    # the lowering and raising stacks take 2 modes*dim*16 bytes and one pair's
-    # residual temporaries about 1.07 times modes*dim*16 more, 3.07 in all; a
-    # setup that keeps a whole (modes, dim) array beside the stacks through the
-    # residual loop, such as the basis digits (3.99), breaks the bound
+    # the lowering and raising factor stacks take modes*dim*16 bytes and one
+    # pair's residual temporaries about 0.48 times that more, 1.48 in all; int64
+    # row stacks kept beside the factors (2.28, or 3.07 with the -1 sentinel
+    # kernel that summed rows and columns) break the bound
     grid = boson_grid(6, 4)
     tracemalloc.start()
     try:
@@ -532,7 +577,7 @@ def test_residual_memory_is_a_fixed_multiple_of_the_map_stacks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.6 * grid.mode_count * grid.dim * 16
+    assert peak <= 2.0 * grid.mode_count * grid.dim * 16
 
 
 # --- position-state creation --------------------------------------------------
