@@ -52,18 +52,14 @@ from .measurement import (
     measure_shots,
 )
 from .protocols import (
-    DecompositionReport,
     TeleportationResult,
     SwapResult,
     ReadoutStats,
     ProductStateStats,
     bell_branches,
     reassemble_branches,
-    derive_decomposition,
     teleport_input_state,
-    teleport_decomposition,
     swap_input_state,
-    swap_decomposition,
     derive_correction_table,
     run_teleportation,
     teleportation_shots,
@@ -92,7 +88,7 @@ from .waves import (
     fringe_visibility,
     double_slit_accumulate,
 )
-from .errata import build_erratum_report
+from .errata import teleport_decomposition, swap_decomposition, build_erratum_report
 
 # every name imported above, in import order; the submodules the imports bind
 # as attributes of the package are not exports

@@ -1,9 +1,10 @@
 """Deterministic erratum report.
 
 Every finding is computed by an oracle at report time: printed expressions are
-hard-coded, the derived side is recomputed, and the verdict is whatever the
-residual says.  Nothing here depends on a random stream, so the report is
-byte-identical across runs.
+hard-coded here, the derived side is recomputed (the branch findings through
+``protocols.bell_branches``), and the verdict is whatever the residual says.
+Each finding is built as the dict the document prints.  Nothing here depends
+on a random stream, so the report is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -11,9 +12,38 @@ from __future__ import annotations
 import numpy as np
 
 from .fock import single_mode_lowering
-from .protocols import swap_decomposition, teleport_decomposition, verdict
-from .register import BellKind
+from .protocols import _joined, bell_branches, reassemble_branches, swap_input_state
+from .register import BellKind, from_amplitudes
 from .waves import ZonePartition, gaussian_packet, zone_coefficients, zone_profile
+
+BRANCH_TOL = 1e-12
+
+
+def verdict(residual):
+    """The verdict on a printed form whose residual against its oracle is
+    `residual`: "match" below BRANCH_TOL, else "erratum"."""
+    return "match" if residual < BRANCH_TOL else "erratum"
+
+
+# printed branch coefficient matrices of the teleportation identity: the
+# source text pairs each Bell outcome on the first two qubits with the remote
+# state M @ (alpha, beta), all branches weighted 1/2
+PRINTED_TELEPORT_BRANCHES = {
+    BellKind.PSI_MINUS: np.array([[-1, 0], [0, -1]], dtype=complex),
+    BellKind.PSI_PLUS: np.array([[-1, 0], [0, 1]], dtype=complex),
+    BellKind.PHI_MINUS: np.array([[1, 0], [0, 1]], dtype=complex),
+    BellKind.PHI_PLUS: np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+# printed swap identity: outcome kind on the middle pair is paired with the
+# SAME kind on the outer pair, with signs (+, -, -, +)
+PRINTED_SWAP_SIGNS = {
+    BellKind.PSI_PLUS: 1.0,
+    BellKind.PSI_MINUS: -1.0,
+    BellKind.PHI_PLUS: -1.0,
+    BellKind.PHI_MINUS: 1.0,
+}
+
 
 def _pair_prefactor_finding():
     printed = np.sqrt(2.0) * np.array([1, 0, 0, 1], dtype=complex)
@@ -46,17 +76,47 @@ def _resource_mismatch_finding():
     }
 
 
-def _branch_finding(finding_id, description, report):
-    """A finding from a Bell-decomposition report."""
+def _branch_finding(finding_id, description, state, pair, printed):
+    """A finding from the Bell expansion of `state` on `pair` against a
+    printed branch table {BellKind: unnormalized branch}."""
+    n = state.qubit_count
+    derived = bell_branches(state.primary, n, pair)
+    residuals = {k.value: float(np.linalg.norm(derived[k] - np.asarray(printed[k], dtype=complex)))
+                 for k in BellKind}
+    verdicts = {k: verdict(r) for k, r in residuals.items()}
+    reassembled = reassemble_branches(derived, n, pair)
     return {
         "id": finding_id,
         "description": description,
-        "branch_residuals": {k.value: report.residuals[k] for k in BellKind},
-        "branch_verdicts": {k.value: report.verdicts[k] for k in BellKind},
-        "reassembly_residual": report.reassembly_residual,
-        "residual": max(report.residuals.values()),
-        "verdict": report.verdict,
+        "branch_residuals": residuals,
+        "branch_verdicts": verdicts,
+        "reassembly_residual": float(np.linalg.norm(reassembled - state.primary)),
+        "residual": max(residuals.values()),
+        "verdict": "match" if all(v == "match" for v in verdicts.values()) else "erratum",
     }
+
+
+def teleport_decomposition(alpha, beta):
+    """The brute-force Bell expansion of the teleportation state against the
+    printed branch table (printed for the phi-minus resource)."""
+    qubit = from_amplitudes([alpha, beta], 1)
+    return _branch_finding(
+        "teleportation-branch-flip",
+        "printed psi-branch remote states omit the spin flip the brute-force "
+        "Bell expansion produces; phi branches match",
+        _joined(qubit, BellKind.PHI_MINUS), (0, 1),
+        {kind: 0.5 * (m @ qubit.primary) for kind, m in PRINTED_TELEPORT_BRANCHES.items()})
+
+
+def swap_decomposition():
+    """The brute-force expansion of the double-singlet state on the middle
+    pair (1,2) against the printed outer-pair branch table."""
+    return _branch_finding(
+        "swap-branch-signs",
+        "double-singlet expansion on the middle pair compared against the "
+        "printed outer-pair kinds and signs",
+        swap_input_state(), (1, 2),
+        {kind: 0.5 * sign * kind.amplitudes() for kind, sign in PRINTED_SWAP_SIGNS.items()})
 
 
 def _ladder_factor_finding():
@@ -104,14 +164,8 @@ def build_erratum_report():
     findings = [
         _pair_prefactor_finding(),
         _resource_mismatch_finding(),
-        _branch_finding("teleportation-branch-flip",
-                        "printed psi-branch remote states omit the spin flip the "
-                        "brute-force Bell expansion produces; phi branches match",
-                        teleport_decomposition(0.6, 0.8j)),
-        _branch_finding("swap-branch-signs",
-                        "double-singlet expansion on the middle pair compared "
-                        "against the printed outer-pair kinds and signs",
-                        swap_decomposition()),
+        teleport_decomposition(0.6, 0.8j),
+        swap_decomposition(),
         _ladder_factor_finding(),
         _zone_expansion_finding(),
     ]

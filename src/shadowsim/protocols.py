@@ -15,11 +15,10 @@ The fixed input states (``bell_pair``, ``swap_input_state``,
 Pauli-group unitaries of ``CORRECTION_TABLES``; any other correction table is
 checked on every request, as before.
 
-The module also contains the brute-force Bell-decomposition oracle: any state
-is expanded branch-by-branch through the same projection kernel the Bell
-measurement uses (``measurement._contract`` and ``_embed``), and the derived
-branches are compared against hard-coded printed branch expressions.
-Mismatches surface in the erratum report rather than being corrected silently.
+The module also holds the brute-force Bell expansion, through the Bell
+measurement's projection kernel (``measurement._contract`` and ``_embed``):
+``bell_branches`` and its inverse ``reassemble_branches``. The correction
+tables, the swap map and the ``errata`` branch findings are checked against it.
 """
 
 from __future__ import annotations
@@ -56,14 +55,6 @@ from .register import (
 # wraps them
 from .register import apply_unitary, fidelity  # noqa: F401
 
-BRANCH_TOL = 1e-12
-
-
-def verdict(residual):
-    """The verdict on a printed form whose residual against its oracle is
-    `residual`: "match" below BRANCH_TOL, else "erratum"."""
-    return "match" if residual < BRANCH_TOL else "erratum"
-
 
 def phase_invariant_distance(u, v):
     """min over unit phases of ||u - e^{i theta} v||: the norm of the difference at
@@ -85,59 +76,6 @@ def reassemble_branches(branches, n, pair):
     return sum(_embed(cond, n, pair, kind.amplitudes()) for kind, cond in branches.items())
 
 
-@dataclass(frozen=True, eq=False)
-class DecompositionReport:
-    identity_name: str
-    derived_branches: dict
-    residuals: dict            # exact L2 distance, unnormalized branches
-    verdicts: dict             # per branch: "match" | "erratum"
-    reassembly_residual: float
-
-    @property
-    def verdict(self):
-        return "match" if all(v == "match" for v in self.verdicts.values()) else "erratum"
-
-
-def derive_decomposition(state: DualRegister, pair, printed_branches, identity_name):
-    """Expand the state in the Bell basis of `pair` and compare with a printed form."""
-    n = state.qubit_count
-    if n < 2:
-        raise ValueError("decomposition needs at least two qubits")
-    derived = bell_branches(state.primary, n, pair)
-    residuals = {}
-    for kind in BellKind:
-        printed = np.asarray(printed_branches[kind], dtype=complex)
-        residuals[kind] = float(np.linalg.norm(derived[kind] - printed))
-    reassembled = reassemble_branches(derived, n, pair)
-    return DecompositionReport(
-        identity_name=identity_name,
-        derived_branches=derived,
-        residuals=residuals,
-        verdicts={kind: verdict(r) for kind, r in residuals.items()},
-        reassembly_residual=float(np.linalg.norm(reassembled - state.primary)),
-    )
-
-
-# printed branch coefficient matrices of the teleportation identity: the
-# source text pairs each Bell outcome on the first two qubits with the remote
-# state M @ (alpha, beta), all branches weighted 1/2
-PRINTED_TELEPORT_BRANCHES = {
-    BellKind.PSI_MINUS: np.array([[-1, 0], [0, -1]], dtype=complex),
-    BellKind.PSI_PLUS: np.array([[-1, 0], [0, 1]], dtype=complex),
-    BellKind.PHI_MINUS: np.array([[1, 0], [0, 1]], dtype=complex),
-    BellKind.PHI_PLUS: np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-# printed swap identity: outcome kind on the middle pair is paired with the
-# SAME kind on the outer pair, with signs (+, -, -, +)
-PRINTED_SWAP_SIGNS = {
-    BellKind.PSI_PLUS: 1.0,
-    BellKind.PSI_MINUS: -1.0,
-    BellKind.PHI_PLUS: -1.0,
-    BellKind.PHI_MINUS: 1.0,
-}
-
-
 def _joined(qubit, resource):
     """A one-qubit register on qubit 0 joined with a resource pair on (1, 2)."""
     return tensor(qubit, bell_pair(resource))
@@ -148,15 +86,6 @@ def teleport_input_state(alpha, beta, resource=BellKind.PHI_MINUS):
     return _joined(from_amplitudes([alpha, beta], 1), resource)
 
 
-def teleport_decomposition(alpha, beta):
-    """Compare the brute-force Bell expansion of the teleportation state
-    against the printed branch table (printed for the phi-minus resource)."""
-    qubit = from_amplitudes([alpha, beta], 1)
-    printed = {kind: 0.5 * (m @ qubit.primary) for kind, m in PRINTED_TELEPORT_BRANCHES.items()}
-    return derive_decomposition(_joined(qubit, BellKind.PHI_MINUS), (0, 1), printed,
-                                "teleportation-bell-expansion")
-
-
 _SWAP_INPUT = tensor(bell_pair(BellKind.PSI_MINUS), bell_pair(BellKind.PSI_MINUS))
 
 
@@ -164,17 +93,6 @@ def swap_input_state():
     """Two singlet pairs on qubits (0,1) and (2,3): one prebuilt read-only
     register."""
     return _SWAP_INPUT
-
-
-def swap_decomposition():
-    """Compare the brute-force expansion of the double-singlet state on the
-    middle pair (1,2) against the printed outer-pair branch table."""
-    state = swap_input_state()
-    printed = {
-        kind: 0.5 * PRINTED_SWAP_SIGNS[kind] * kind.amplitudes()
-        for kind in BellKind
-    }
-    return derive_decomposition(state, (1, 2), printed, "swap-bell-expansion")
 
 
 # ---------------------------------------------------------------------------

@@ -296,8 +296,9 @@ class SlitGeometry:
     distance: float     # propagation distance to the screen
 
     def __post_init__(self):
-        if self.separation <= 0 or self.width <= 0 or self.distance <= 0:
-            raise ValueError("slit geometry values must be positive")
+        # written so that NaN fails too
+        if not all(0.0 < v < np.inf for v in (self.separation, self.width, self.distance)):
+            raise ValueError(f"slit geometry values must be positive and finite: {self}")
         if self.width >= self.separation:
             raise ValueError("slit apertures overlap")
         if self.distance < 10.0 * self.separation:

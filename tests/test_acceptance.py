@@ -182,22 +182,22 @@ def test_criterion_05_decomposition_oracle():
     rng = np.random.default_rng(RNG_SEED)
     alpha, beta = rng.normal(size=2) + 1j * rng.normal(size=2)
     tele = teleport_decomposition(alpha, beta)
-    phi_ok = (tele.residuals[BellKind.PHI_PLUS] < 1e-12
-              and tele.residuals[BellKind.PHI_MINUS] < 1e-12)
-    psi_flagged = (tele.verdicts[BellKind.PSI_PLUS] == "erratum"
-                   and tele.verdicts[BellKind.PSI_MINUS] == "erratum")
+    phi_ok = (tele["branch_residuals"]["phi-plus"] < 1e-12
+              and tele["branch_residuals"]["phi-minus"] < 1e-12)
+    psi_flagged = (tele["branch_verdicts"]["psi-plus"] == "erratum"
+                   and tele["branch_verdicts"]["psi-minus"] == "erratum")
     swap = swap_decomposition()
     swap2 = swap_decomposition()
-    deterministic = (swap.verdict == swap2.verdict
-                     and swap.reassembly_residual == swap2.reassembly_residual)
+    deterministic = (swap["verdict"] == swap2["verdict"]
+                     and swap["reassembly_residual"] == swap2["reassembly_residual"])
     ok = (phi_ok and psi_flagged
-          and tele.reassembly_residual < 1e-12
-          and swap.reassembly_residual < 1e-12
-          and swap.verdict == "match" and deterministic)
+          and tele["reassembly_residual"] < 1e-12
+          and swap["reassembly_residual"] < 1e-12
+          and swap["verdict"] == "match" and deterministic)
     _report(5, "decomposition oracle", ok,
             f"phi residuals < 1e-12: {phi_ok}, psi flagged: {psi_flagged}, "
-            f"reassembly {tele.reassembly_residual:.2e}/"
-            f"{swap.reassembly_residual:.2e}, swap verdict {swap.verdict}")
+            f"reassembly {tele['reassembly_residual']:.2e}/"
+            f"{swap['reassembly_residual']:.2e}, swap verdict {swap['verdict']}")
 
 
 def test_criterion_06_entanglement_swap():

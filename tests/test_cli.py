@@ -556,6 +556,16 @@ def test_bad_grid_inputs_exit_2_with_one_line(argv, capsys):
     assert err.startswith(f"shadowsim {argv[0]}: error:")
 
 
+def test_non_finite_slit_separation_exits_2_with_one_line(capsys):
+    # the geometry names itself, before any grid is built from it
+    with pytest.raises(SystemExit) as exc:
+        run(["doubleslit", "--separation", "nan"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "shadowsim doubleslit: error: slit geometry values must be positive and finite: "
+        "SlitGeometry(separation=nan, width=0.1, distance=100.0)\n")
+
+
 @pytest.mark.parametrize("argv,width,cell", [
     (["doubleslit", "--distance", "1e308"], "0.1", "5.82843e+303"),
     (["doubleslit", "--wavelength", "1e300"], "0.1", "1.16569e+299"),

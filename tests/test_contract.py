@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from shadowsim.fock import DualFockState, ModeGrid, vacuum
 from shadowsim.measurement import bell_measure, sample_outcome
-from shadowsim.protocols import teleport_decomposition
 from shadowsim.register import (
     TOLERANCES,
     BellKind,
@@ -232,10 +231,9 @@ def test_dual_object_holds_one_read_only_pair(kind):
     lambda: Potential(np.zeros(16)),
     lambda: double_slit_accumulate(SlitGeometry(1.0, 0.1, 100.0), 20, 4,
                                    np.random.default_rng(0)),
-    lambda: teleport_decomposition(0.6, 0.8j),
     lambda: vacuum(ModeGrid((0.0,))),
 ], ids=["DualRegister", "WaveGrid", "MeasurementRecord", "Potential", "DoubleSlitResult",
-        "DecompositionReport", "DualFockState"])
+        "DualFockState"])
 def test_array_holding_dataclasses_compare_by_identity(make):
     # a generated __eq__ would compare the arrays element-wise and raise
     a, b = make(), make()

@@ -229,17 +229,17 @@ EXPORTS = [
     "apply_unitary", "fidelity", "PAULI_I", "PAULI_X", "PAULI_Y", "PAULI_Z",
     "HADAMARD", "MeasurementRecord", "Z_BASIS", "X_BASIS", "born_probabilities",
     "projective_measure", "bell_outcome_probabilities", "bell_measure",
-    "measure_shots", "DecompositionReport", "TeleportationResult", "SwapResult",
-    "ReadoutStats", "ProductStateStats", "bell_branches", "reassemble_branches",
-    "derive_decomposition", "teleport_input_state", "teleport_decomposition",
-    "swap_input_state", "swap_decomposition", "derive_correction_table",
+    "measure_shots", "TeleportationResult", "SwapResult", "ReadoutStats",
+    "ProductStateStats", "bell_branches", "reassemble_branches",
+    "teleport_input_state", "swap_input_state", "derive_correction_table",
     "run_teleportation", "teleportation_shots", "swap_outcome_map",
     "run_entanglement_swap", "swap_shots", "entangled_readout_demo",
     "product_plus_state", "product_state_demo", "WaveGrid", "Potential",
     "ZonePartition", "SlitGeometry", "DoubleSlitResult", "gaussian_packet",
     "from_samples", "evolve", "free_propagate", "zone_coefficients",
     "zone_profile", "collapse_to", "collapse_detect", "analytic_screen_intensity",
-    "fringe_visibility", "double_slit_accumulate", "build_erratum_report",
+    "fringe_visibility", "double_slit_accumulate", "teleport_decomposition",
+    "swap_decomposition", "build_erratum_report",
 ]
 
 

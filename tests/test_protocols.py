@@ -7,21 +7,17 @@ from shadowsim.measurement import BELL_BASIS, BELL_LABELS, measure_shots
 from shadowsim.protocols import (
     CORRECTION_TABLES,
     SWAP_OUTCOME_MAP,
-    PRINTED_TELEPORT_BRANCHES,
     bell_branches,
     derive_correction_table,
-    derive_decomposition,
     entangled_readout_demo,
     phase_invariant_distance,
     product_state_demo,
     reassemble_branches,
     run_entanglement_swap,
     run_teleportation,
-    swap_decomposition,
     swap_input_state,
     swap_outcome_map,
     swap_shots,
-    teleport_decomposition,
     teleport_input_state,
     teleportation_shots,
 )
@@ -29,54 +25,16 @@ from shadowsim.register import (BellKind, DualRegister, PAULI_I, PAULI_X, PAULI_
                                 apply_unitary, bell_pair, fidelity, from_amplitudes)
 
 
-# --- brute-force decomposition oracle -------------------------------------------
-
-def test_teleport_phi_branches_match_printed():
-    report = teleport_decomposition(0.6, 0.8j)
-    assert report.residuals[BellKind.PHI_PLUS] < 1e-12
-    assert report.residuals[BellKind.PHI_MINUS] < 1e-12
-    assert report.verdicts[BellKind.PHI_PLUS] == "match"
-
-
-def test_teleport_psi_branches_flag_erratum():
-    report = teleport_decomposition(0.6, 0.8j)
-    assert report.verdicts[BellKind.PSI_PLUS] == "erratum"
-    assert report.verdicts[BellKind.PSI_MINUS] == "erratum"
-    assert report.verdict == "erratum"
-
+# --- brute-force Bell expansion -------------------------------------------------
 
 def test_teleport_psi_branch_is_spin_flipped():
     # the derived psi branches carry amplitudes on the (beta, alpha) pattern
     alpha, beta = 0.6, 0.8j
-    report = teleport_decomposition(alpha, beta)
-    minus = report.derived_branches[BellKind.PSI_MINUS]
+    branches = bell_branches(teleport_input_state(alpha, beta).primary, 3, (0, 1))
+    minus = branches[BellKind.PSI_MINUS]
     np.testing.assert_allclose(minus, 0.5 * np.array([-beta, -alpha]), atol=1e-14)
-    plus = report.derived_branches[BellKind.PSI_PLUS]
+    plus = branches[BellKind.PSI_PLUS]
     np.testing.assert_allclose(plus, 0.5 * np.array([beta, -alpha]), atol=1e-14)
-
-
-@pytest.mark.parametrize("alpha,beta", [(1e-200, 1e-200j), (1e200, 1e200j)])
-def test_teleport_decomposition_of_tiny_and_huge_amplitudes(alpha, beta):
-    # (alpha, beta) is normalized once, by the exact scaling of from_amplitudes
-    report = teleport_decomposition(alpha, beta)
-    reference = teleport_decomposition(0.6, 0.8j)
-    assert report.verdicts == reference.verdicts
-    assert report.residuals[BellKind.PHI_PLUS] < 1e-12
-    assert report.residuals[BellKind.PHI_MINUS] < 1e-12
-    assert report.reassembly_residual < 1e-12
-
-
-def test_branch_completeness_teleport():
-    report = teleport_decomposition(0.3 + 0.2j, -0.7j)
-    assert report.reassembly_residual < 1e-12
-
-
-def test_swap_decomposition_matches_printed():
-    report = swap_decomposition()
-    for kind in BellKind:
-        assert report.residuals[kind] < 1e-12, kind
-    assert report.verdict == "match"
-    assert report.reassembly_residual < 1e-12
 
 
 def test_swap_branch_weights():
@@ -383,8 +341,3 @@ def test_shot_validation():
     with pytest.raises(ValueError):
         product_state_demo(0)
 
-
-def test_decomposition_needs_two_qubits():
-    with pytest.raises(ValueError, match="decomposition needs at least two qubits"):
-        derive_decomposition(from_amplitudes([1.0, 0.0], 1), (0, 1),
-                             PRINTED_TELEPORT_BRANCHES, "one-qubit")

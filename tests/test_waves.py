@@ -285,6 +285,15 @@ def test_geometry_validation():
         SlitGeometry(-1.0, 0.1, 100.0)
 
 
+@pytest.mark.parametrize("field", ["separation", "width", "distance"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_geometry_rejects_non_finite_fields(field, value):
+    values = {"separation": 5.0, "width": 0.1, "distance": 100.0, field: value}
+    with pytest.raises(ValueError, match=r"^slit geometry values must be positive and "
+                                         r"finite: SlitGeometry\("):
+        SlitGeometry(**values)
+
+
 def test_two_slit_visibility_matches_analytic():
     res = double_slit_accumulate(GEOM, 100, 64, np.random.default_rng(0))
     x = res.screen_grid.x
