@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -9,10 +10,11 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from shadowsim.cli import (
     ShotRows,
+    _chi_square_tail,
     _merged_cell_starts,
     _merged_chisquare,
     _parse_complex,
@@ -774,22 +776,49 @@ from shadowsim import cli
 for argv in (["algebra"], ["erratum"], ["bell"]):
     cli.run(argv + ["--output", os.devnull])
 assert "numpy.random" not in sys.modules
-for argv in (["teleport"], ["swap"], ["readout"], ["product"]):
+for argv in (["teleport"], ["swap"], ["readout"], ["product"], ["collapse"], ["doubleslit"],
+             ["doubleslit", "--single-slit"]):
     cli.run(argv + ["--output", os.devnull])
 print(",".join(m for m in sys.modules if m.startswith("scipy")))
-cli.run(["collapse", "--output", os.devnull])
-print(",".join(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.sparse"))))
 """
 
 
 def test_scipy_stays_off_the_import_path():
+    # only evolve loads scipy (scipy.sparse, for its LU)
     proc = subprocess.run([sys.executable, "-c", IMPORT_PATH], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "\n\n"
+    assert proc.stdout == "\n"
 
 
 # --- chi-square against its scipy oracle -------------------------------------------------
+
+EPS = np.finfo(np.float64).eps
+
+
+def tail_bound(dof, statistic, c):
+    """c (1 + a|ln z| + z) eps, a = dof/2, z = statistic/2: the relative error
+    bound of _chi_square_tail, with c chosen per oracle.
+
+    The error analysis, in units of eps: the prefactor's exponent
+    a ln z - z - lgamma(a) is rounded to within about 1 + a|ln z| + z (the
+    rounding of lgamma(a) is no larger wherever P is not negligible against
+    Q), and exp turns that absolute error into a relative one; the series and
+    the fraction add a few; and 1 - P below z = a + 1, where Q > 0.083 at
+    a >= 1/2, multiplies P's error by at most 11.  Against an exact closed
+    form c = 16 covers this.  Against scipy's chdtrc c = 128: its Cephes
+    igamc documents a peak relative error of 1.9e-14 (86 eps) of its own."""
+    a, z = 0.5 * dof, 0.5 * statistic
+    return c * (1.0 + a * abs(math.log(z)) + z) * EPS
+
+
+SCIPY_C, EXACT_C = 128, 16
+
+
+def tail_near(got, want, bound):
+    """got within bound of want, relative, or both below the normal floats."""
+    return abs(got - want) <= bound * want + np.finfo(np.float64).tiny
+
 
 def _scipy_merged_chisquare(counts, expected):
     starts = _merged_cell_starts(expected)
@@ -800,18 +829,80 @@ def _scipy_merged_chisquare(counts, expected):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 400), st.floats(1e-3, 1.0)), min_size=2, max_size=30),
        st.sampled_from([1.0, 1.0 + 1e-9, 1.0 + 1e-6, 0.97]))
-def test_merged_chisquare_equals_scipy_bit_for_bit(cells, scale):
+def test_merged_chisquare_statistic_equals_scipy_and_tail_is_near(cells, scale):
     counts = np.array([n for n, _ in cells])
     weights = np.array([w for _, w in cells])
     expected = weights / weights.sum() * counts.sum() * scale
-    assume(len(_merged_cell_starts(expected)) >= 2)
+    starts = _merged_cell_starts(expected)
+    assume(len(starts) >= 2)
     try:
-        oracle = _scipy_merged_chisquare(counts, expected)
+        statistic, p_value = _scipy_merged_chisquare(counts, expected)
     except ValueError:
         with pytest.raises(ValueError, match="relative tolerance"):
             _merged_chisquare(counts, expected)
     else:
-        assert _merged_chisquare(counts, expected) == oracle
+        got = _merged_chisquare(counts, expected)
+        assert got[0] == statistic
+        if statistic > 0.0:
+            assert tail_near(got[1], p_value, tail_bound(len(starts) - 1, statistic, SCIPY_C))
+        else:
+            assert got[1] == p_value == 1.0
+
+
+def _tail_grid(dof):
+    """Statistics from near 0 to where the tail underflows."""
+    return np.concatenate([np.geomspace(1e-6, 1.0, 25),
+                           np.linspace(1.0, dof + 1500.0, 400)])
+
+
+@pytest.mark.parametrize("dofs", [range(1, 33), range(33, 128)], ids=["1-32", "33-127"])
+def test_chi_square_tail_near_scipy_over_the_documents_range(dofs):
+    # a document tests at most --zones - 1 or --bins - 1 degrees of freedom:
+    # 3 and 63 by default, 127 at 128 bins; thousands are checked further down
+    for dof in dofs:
+        xs = _tail_grid(dof)
+        oracle = special.chdtrc(dof, xs)
+        misses = [x for x, q in zip(xs.tolist(), oracle.tolist())
+                  if not tail_near(_chi_square_tail(dof, x), q, tail_bound(dof, x, SCIPY_C))]
+        assert not misses, (dof, misses)
+
+
+@pytest.mark.parametrize("dof, closed", [(1, lambda x: math.erfc(math.sqrt(x / 2.0))),
+                                         (2, lambda x: math.exp(-x / 2.0))], ids=["1", "2"])
+def test_chi_square_tail_equals_its_closed_forms(dof, closed):
+    for x in _tail_grid(dof).tolist():
+        assert tail_near(_chi_square_tail(dof, x), closed(x), tail_bound(dof, x, EXACT_C)), x
+    assert _chi_square_tail(dof, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("dof", [2000, 2001, 4000, 4095, 8000])
+def test_chi_square_tail_survives_past_exp_underflow(dof):
+    # e^(-x/2) underflows past x/2 = 745, where a tail written as
+    # e^(-x/2) sum (x/2)^i / i! would read 0
+    xs = np.linspace(1491.0, dof + 40.0 * math.sqrt(2.0 * dof), 200)
+    oracle = special.chdtrc(dof, xs)
+    assert math.exp(-xs[0] / 2.0) == 0.0
+    for x, q in zip(xs.tolist(), oracle.tolist()):
+        assert tail_near(_chi_square_tail(dof, x), q, tail_bound(dof, x, SCIPY_C)), x
+
+
+@pytest.mark.parametrize("statistic", [math.inf, math.nan])
+def test_chi_square_tail_of_a_non_finite_statistic_is_nan(statistic):
+    # a NaN p_value fails its gate (1 - p <= tolerance is false): exit 1
+    assert math.isnan(_chi_square_tail(3, statistic))
+
+
+def test_collapse_over_thousands_of_zones_keeps_its_p_value(tmp_path):
+    # 1476 merged cells whose statistic's half, 759, is past exp's underflow;
+    # chi_square and p_value as the scipy tail (scipy 1.17.1) gave them
+    code, doc = invoke(["collapse", "--points=4096", "--zones=4096", "--shots=100000",
+                        "--seed=0"], tmp_path)
+    assert code == 0
+    results = json.loads(doc)["results"]
+    assert results["chi_square"] == 1518.9178043607621
+    assert results["chi_square"] / 2.0 > 745.0
+    assert tail_near(results["p_value"], 0.20812387300723917,
+                     tail_bound(1475, results["chi_square"], SCIPY_C))
 
 
 def test_merged_chisquare_rejects_unequal_sums():
