@@ -45,9 +45,7 @@ from .measurement import (
     MeasurementRecord,
     Z_BASIS,
     X_BASIS,
-    born_probabilities,
     projective_measure,
-    bell_outcome_probabilities,
     bell_measure,
     measure_shots,
 )

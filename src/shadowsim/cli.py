@@ -24,7 +24,6 @@ from . import fock, waves
 from .errata import build_erratum_report
 from .measurement import sample_outcome
 from .protocols import (
-    CORRECTION_TABLES,
     SWAP_OUTCOME_MAP,
     entangled_readout_demo,
     product_state_demo,
@@ -186,8 +185,7 @@ def _parse_complex(text):
 
 def _cmd_teleport(args, rng):
     resource = RESOURCE_NAMES[args.resource]
-    paths, index = teleportation_shots(args.alpha, args.beta, resource, args.shots, rng,
-                                       CORRECTION_TABLES[resource])
+    paths, index = teleportation_shots(args.alpha, args.beta, resource, args.shots, rng)
     shots = ShotRows([{"outcome": r.outcome.value, "probability": r.probability,
                        "fidelity": r.fidelity_with_input} for r in paths], index.tolist())
     worst_fid = min([1.0] + [r.fidelity_with_input for r in paths])
@@ -201,7 +199,7 @@ def _cmd_teleport(args, rng):
 
 
 def _cmd_swap(args, rng):
-    paths, index = swap_shots(args.shots, rng, SWAP_OUTCOME_MAP)
+    paths, index = swap_shots(args.shots, rng)
     shots = ShotRows([{"outcome": r.outcome.value,
                        "remote_kind": r.predicted_remote_kind.value,
                        "fidelity": r.fidelity_with_prediction} for r in paths], index.tolist())
@@ -428,7 +426,7 @@ def _cmd_collapse(args, rng):
     for zone in np.flatnonzero(counts):
         collapsed = waves.collapse_to(grid, partition, zone)
         worst_dev = max(worst_dev, collapsed.mirror_deviation())
-        inside = collapsed.psi_primary[partition.slices(args.points)[zone]]
+        inside = collapsed.psi_primary[partition.zone_slice(args.points, zone)]
         support_ok &= np.count_nonzero(collapsed.psi_primary) == np.count_nonzero(inside)
     statistic, p_value = _merged_chisquare(counts, weights * args.shots)
     results = {

@@ -6,14 +6,14 @@ columns follow ``index``: row 0 the primary amplitudes, row 1 the mirrored
 shadow.  Its ``primary`` and ``shadow`` maps from occupation tuples are built
 on read.  An occupation's basis index is its dot product with ``_place_values``.
 
-One builder, ``_ladder``, gives a ladder operator on a set of basis indices for
-every mode at once: mode m moves column c to row c + shifts[m] with factor
-factors[m, c], 0.0 where the row would leave the basis.  Every operator reads
-its mode's shift and factor row after one range check: ``_apply_ladder`` on a
-state's indices, ``annihilation_matrix`` on the basis.  The (anti)commutator
-residuals share one setup, the guarded sector and the ladder maps of the basis;
-both products of a pair shift every column alike, so each residual block is a
-partial permutation and ``_bracket_residual`` takes its largest magnitude.
+One function, ``_ladder``, gives one mode's ladder operator on a set of basis
+indices after one range check: it moves column c to row c + shift with factor
+factor[c], 0.0 where the row would leave the basis.  ``_apply_ladder`` builds
+it on a state's indices, ``annihilation_matrix`` on the basis.  The
+(anti)commutator residuals share one setup, the guarded sector and the ladder
+maps of the basis for each mode they read; both products of a pair shift
+every column alike, so each residual block is a partial permutation and
+``_bracket_residual`` takes its largest magnitude.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def vacuum(grid):
 
 
 # ---------------------------------------------------------------------------
-# the ladder maps, built for every mode at once
+# the ladder maps, one mode at a time
 
 
 def _place_values(grid):
@@ -194,37 +194,31 @@ def _digits(grid, index=None):
     return (index[:, None] // _place_values(grid)) % grid.mode_dim
 
 
-def _ladder(grid, index, delta):
-    """The lowering (delta -1) or raising (delta +1) operator of every mode on
-    the basis states `index`, as (shifts, factors): under mode m, column c goes
-    to row c + shifts[m] with factor factors[m, c], sqrt(max(n, n + delta)) or
-    for fermions the Jordan-Wigner sign of a cumulative sum of occupations; at
-    the edge, where n + delta leaves [0, max_occupation], the factor is 0.0 and
-    the column goes nowhere.  One mode's digits fill each factor row, so no
-    (modes, len(index)) temporary is made."""
-    place = _place_values(grid)
-    factors = np.empty((grid.mode_count, index.size))
-    before = np.zeros(index.size, dtype=int)
-    for m, factor in enumerate(factors):
-        n = index // place[m] % grid.mode_dim
-        factor[:] = (1.0 - 2.0 * (before % 2) if grid.statistics == "fermion"
-                     else np.sqrt(np.maximum(n, n + delta)))
-        factor[n == (grid.max_occupation if delta > 0 else 0)] = 0.0
-        before += n
-    return delta * place, factors
-
-
-def _row(maps, mode):
-    """Mode `mode`'s shift and factor row of `_ladder` maps; a negative mode would wrap."""
-    shifts, factors = maps
-    if not 0 <= mode < len(shifts):
+def _ladder(grid, index, delta, mode):
+    """The lowering (delta -1) or raising (delta +1) operator of one mode on
+    the basis states `index`, as (shift, factor): column c goes to row
+    c + shift with factor factor[c], sqrt(max(n, n + delta)), or for fermions
+    the Jordan-Wigner sign of the quanta in the modes before; at the edge,
+    where n + delta leaves [0, max_occupation], the factor is 0.0 and the
+    column goes nowhere.  A negative mode would wrap, so it is out of range."""
+    if not 0 <= mode < grid.mode_count:
         raise IndexError(f"mode {mode} out of range")
-    return shifts[mode], factors[mode]
+    place = _place_values(grid)[mode]
+    before, n = np.divmod(index // place, grid.mode_dim)
+    if grid.statistics == "fermion":
+        # each bit of `before` is a mode's occupation: fold its parity onto bit 0
+        for bits in (32, 16, 8, 4, 2, 1):
+            before ^= before >> bits
+        factor = 1.0 - 2.0 * (before & 1)
+    else:
+        factor = np.sqrt(np.maximum(n, n + delta))
+    factor[n == (grid.max_occupation if delta > 0 else 0)] = 0.0
+    return delta * place, factor
 
 
 def _apply_ladder(state, mode, delta, normalize):
-    shift, factors = _row(_ladder(state.grid, state.index, delta), mode)
-    amps = factors * state.pair[0]
+    shift, factor = _ladder(state.grid, state.index, delta, mode)
+    amps = factor * state.pair[0]
     # an edge column has factor 0.0 and drops with the exact zeros; the one
     # physical amplitude is shared by both registers: every factor is applied
     # once, then mirrored into the shadow row; one shift keeps index order
@@ -252,10 +246,10 @@ def apply_b(state, mode, normalize=False):
 
 def annihilation_matrix(grid, mode):
     """Dense matrix of the combined operator b_mode on the truncated space."""
-    shift, factors = _row(_ladder(grid, np.arange(grid.dim), -1), mode)
-    cols = np.flatnonzero(factors)
+    shift, factor = _ladder(grid, np.arange(grid.dim), -1, mode)
+    cols = np.flatnonzero(factor)
     mat = np.zeros((grid.dim, grid.dim), dtype=complex)
-    mat[cols + shift, cols] = factors[cols]
+    mat[cols + shift, cols] = factor[cols]
     return mat
 
 
@@ -305,12 +299,15 @@ def _bracket_residual(grid, bi, x, delta_ij, keep, sign):
 
 
 def _residuals(grid, pairs):
-    """The `bracket_residuals` rows of `pairs`, from one guarded mask and two maps."""
+    """The `bracket_residuals` rows of `pairs`, from one guarded mask and the
+    lowering and raising maps of each mode that `pairs` name."""
     keep = guarded_sector_projector(grid)
-    lower, upper = (_ladder(grid, np.arange(grid.dim), delta) for delta in (-1, 1))
+    basis = np.arange(grid.dim)
+    modes = dict.fromkeys(m for i, j, _ in pairs for m in (i, j))
+    lower, upper = ({m: _ladder(grid, basis, delta, m) for m in modes} for delta in (-1, 1))
     sign = _SIGNS[grid.statistics]
-    return [(i, j, pair, _bracket_residual(grid, _row(lower, i),
-                                           _row(upper if pair == "mixed" else lower, j),
+    return [(i, j, pair, _bracket_residual(grid, lower[i],
+                                           (upper if pair == "mixed" else lower)[j],
                                            i == j and pair == "mixed", keep, sign))
             for i, j, pair in pairs]
 

@@ -6,7 +6,8 @@ matrix product, and ``_embed`` puts an outcome ket back. One walker,
 ``measure_shots``, runs a sequence of measurement steps
 (``Z_BASIS``, ``X_BASIS``, any 2x2 basis, or ``BELL_BASIS`` on a pair) for
 many shots at once, collapsing both registers once per distinct outcome path;
-``projective_measure`` and ``bell_measure`` are its one-shot case. It checks
+``projective_measure`` and ``bell_measure`` are its one-shot case, each
+drawing one uniform from the caller's generator. It checks
 every step once per walk; the three bases defined here are read-only and
 checked once, at import. It builds post-states only to measure the next step
 on them, each level's as one stack validated in one check
@@ -184,30 +185,16 @@ def _measure(state, step, rng):
     return path[0]
 
 
-def born_probabilities(state: DualRegister, qubit, basis=Z_BASIS):
-    """Born-rule outcome probabilities for measuring one qubit in a basis."""
-    targets = check_targets(state.qubit_count, [qubit])
-    basis = check_unitary(basis, 2, "basis")
-    return tuple(_branches(state.pair, state.qubit_count, targets, basis)[1])
-
-
-def projective_measure(state: DualRegister, qubit, basis=Z_BASIS, rng=None):
+def projective_measure(state: DualRegister, qubit, basis, rng):
     """Measure one qubit; collapse primary and shadow atomically.
 
     Returns a MeasurementRecord whose remote states are the conditional
     amplitudes of the unmeasured qubits, extracted from the shadow register
     and, independently, from the primary register.
     """
-    return _measure(state, ([qubit], basis, (0, 1)), rng or np.random.default_rng())
+    return _measure(state, ([qubit], basis, (0, 1)), rng)
 
 
-def bell_outcome_probabilities(state: DualRegister, pair):
-    """Born probabilities of the four Bell outcomes on the given qubit pair."""
-    targets = check_targets(state.qubit_count, pair)
-    probs = _branches(state.pair, state.qubit_count, targets, BELL_BASIS)[1]
-    return dict(zip(BELL_LABELS, probs))
-
-
-def bell_measure(state: DualRegister, pair, rng=None):
+def bell_measure(state: DualRegister, pair, rng):
     """Projective Bell-basis measurement on a qubit pair, atomic collapse."""
-    return _measure(state, (pair, BELL_BASIS, BELL_LABELS), rng or np.random.default_rng())
+    return _measure(state, (pair, BELL_BASIS, BELL_LABELS), rng)

@@ -12,8 +12,9 @@ corrected qubit, the post-states) are rows made with the arithmetic of
 per outcome set (``register.check_registers``) rather than one register each.
 The fixed input states (``bell_pair``, ``swap_input_state``,
 ``product_plus_state``) are built and checked once, at import, and so are the
-Pauli-group unitaries of ``CORRECTION_TABLES``; any other correction table is
-checked on every request, as before.
+Pauli-group unitaries that ``CORRECTION_TABLES`` holds: teleportation reads
+its resource's table there, and swapping reads ``SWAP_OUTCOME_MAP``. Every
+demo draws from the generator its caller passes.
 
 The module also holds the brute-force Bell expansion, through the Bell
 measurement's projection kernel (``measurement._contract`` and ``_embed``):
@@ -195,16 +196,16 @@ def _single_step(state, step, shots, rng):
     return [record for record, in paths], index
 
 
-def teleportation_shots(alpha, beta, resource, shots, rng, table):
+def teleportation_shots(alpha, beta, resource, shots, rng):
     """Teleportation rounds, one rng.random() per shot: prepare, Bell-measure
-    (0,1), correct qubit 2. Returns one TeleportationResult per distinct
-    outcome and each shot's index into them."""
+    (0,1), correct qubit 2 by the resource's CORRECTION_TABLES entry. Returns
+    one TeleportationResult per distinct outcome and each shot's index into
+    them."""
     target = from_amplitudes([alpha, beta], 1)  # also the input qubit
     records, index = _single_step(_joined(target, resource),
                                   ((0, 1), BELL_BASIS, BELL_LABELS), shots, rng)
+    table = CORRECTION_TABLES[resource]
     unitaries = [table[record.outcome] for record in records]
-    if not any(table is t for t in CORRECTION_TABLES.values()):
-        unitaries = [check_unitary(u, 2, "unitary for 1 targets") for u in unitaries]
     remotes = _remote_pairs(records)
     k = len(records)
     # apply_unitary's arithmetic on each remote qubit; the remote and the
@@ -218,13 +219,9 @@ def teleportation_shots(alpha, beta, resource, shots, rng, table):
             for record, corrected, dev in zip(records, qubits[k:], devs)], index
 
 
-def run_teleportation(alpha, beta, resource=BellKind.PHI_MINUS, rng=None, table=None):
-    """One shot of teleportation_shots; the resource's CORRECTION_TABLES entry
-    if no table is given."""
-    rng = rng or np.random.default_rng()
-    if table is None:
-        table = CORRECTION_TABLES[resource]
-    results, index = teleportation_shots(alpha, beta, resource, 1, rng, table)
+def run_teleportation(alpha, beta, resource, rng):
+    """One shot of teleportation_shots."""
+    results, index = teleportation_shots(alpha, beta, resource, 1, rng)
     return results[index[0]]
 
 
@@ -247,11 +244,11 @@ def swap_outcome_map():
             for kind in BellKind}
 
 
-def swap_shots(shots, rng, outcome_map):
+def swap_shots(shots, rng):
     """Swap rounds, one rng.random() per shot: Bell-measure the middle pair of
     two singlets; the outer pair collapses, via the shadow register, onto the
-    predicted Bell state. Returns one SwapResult per distinct outcome and each
-    shot's index into them."""
+    Bell state SWAP_OUTCOME_MAP predicts. Returns one SwapResult per distinct
+    outcome and each shot's index into them."""
     records, index = _single_step(swap_input_state(), ((1, 2), BELL_BASIS, BELL_LABELS),
                                   shots, rng)
     remotes = check_registers(_remote_pairs(records))
@@ -259,18 +256,15 @@ def swap_shots(shots, rng, outcome_map):
                       mirror_residuals(remotes)).tolist()
     results = []
     for record, pair, dev in zip(records, remotes, devs):
-        predicted = outcome_map[record.outcome]
+        predicted = SWAP_OUTCOME_MAP[record.outcome]
         results.append(SwapResult(record.outcome, predicted, held_register(pair),
                                   _fidelity(pair, bell_pair(predicted).primary), dev))
     return results, index
 
 
-def run_entanglement_swap(rng=None, outcome_map=None):
-    """One shot of swap_shots; SWAP_OUTCOME_MAP if no outcome map is given."""
-    rng = rng or np.random.default_rng()
-    if outcome_map is None:
-        outcome_map = SWAP_OUTCOME_MAP
-    results, index = swap_shots(1, rng, outcome_map)
+def run_entanglement_swap(rng):
+    """One shot of swap_shots."""
+    results, index = swap_shots(1, rng)
     return results[index[0]]
 
 
@@ -291,13 +285,11 @@ def _step(qubit, basis):
     return ((qubit,), basis, (0, 1))
 
 
-def entangled_readout_demo(shots, rng=None):
+def entangled_readout_demo(shots, rng):
     """Measure one half of a phi-plus pair, read the far half via the shadow,
     then measure it; outcomes are perfectly correlated."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    rng = rng or np.random.default_rng()
-
     paths, index = measure_shots(bell_pair(BellKind.PHI_PLUS),
                                  [_step(0, Z_BASIS), _step(1, Z_BASIS)], rng.random((shots, 2)))
     firsts = [rec0 for rec0, _ in paths]
@@ -338,13 +330,12 @@ def product_plus_state():
     return _PRODUCT_PLUS
 
 
-def product_state_demo(shots, rng=None):
+def product_state_demo(shots, rng):
     """Show that measuring qubit 0 of a product state leaves the remote
     marginals (z and x) unchanged; the shadow-read remote state equals the
     untouched single-qubit state on every shot."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    rng = rng or np.random.default_rng()
     u = rng.random((shots, 6))
     state = product_plus_state()
 

@@ -234,10 +234,17 @@ class ZonePartition:
         return len(self.cut_indices) + 1
 
     def slices(self, points):
-        if self.cut_indices[-1] >= points:
+        """Every zone's slice of a grid of `points` cells, in order."""
+        return [self.zone_slice(points, i) for i in range(self.zone_count)]
+
+    def zone_slice(self, points, i):
+        """Zone i's slice alone, as a list index takes it: a negative i counts
+        from the last zone."""
+        cuts = self.cut_indices
+        if cuts[-1] >= points:
             raise ValueError("cut index beyond the grid")
-        edges = (0,) + self.cut_indices + (points,)
-        return [slice(a, b) for a, b in zip(edges, edges[1:])]
+        i = range(len(cuts) + 1)[i]
+        return slice(cuts[i - 1] if i else 0, cuts[i] if i < len(cuts) else points)
 
     @classmethod
     def equal_zones(cls, points, k):
@@ -261,7 +268,7 @@ def zone_coefficients(grid, partition):
 
 def zone_profile(grid, partition, i):
     """Normalized in-zone wave function of zone i, zero everywhere else."""
-    s = partition.slices(grid.points)[i]
+    s = partition.zone_slice(grid.points, i)
     prof = np.zeros(grid.points, dtype=complex)
     inside = grid.psi_primary[s]
     w = np.sqrt(np.sum(np.abs(inside) ** 2) * grid.dx)
@@ -277,9 +284,8 @@ def collapse_to(grid, partition, zone):
     return WaveGrid(grid.x_min, grid.x_max, prof, prof, t=grid.t)
 
 
-def collapse_detect(grid, partition, rng=None):
+def collapse_detect(grid, partition, rng):
     """Sample a zone by the Born rule and confine both wave functions to it."""
-    rng = rng or np.random.default_rng()
     probs = np.abs(zone_coefficients(grid, partition)) ** 2
     zone = sample_outcome(rng.random(), probs / probs.sum())
     return zone, collapse_to(grid, partition, zone)
@@ -352,7 +358,7 @@ def fringe_visibility(x, intensity, spacing):
 SCREEN_POINTS = 8192
 
 
-def double_slit_accumulate(geometry, shots, bins, rng=None, wavelength=0.05, slits="both"):
+def double_slit_accumulate(geometry, shots, bins, rng, wavelength=0.05, slits="both"):
     """Accumulate single detections of a two-slit (or one-slit) pattern.
 
     The aperture state (one Gaussian per open slit, equal weights) is freely
@@ -398,7 +404,6 @@ def double_slit_accumulate(geometry, shots, bins, rng=None, wavelength=0.05, sli
     screen = free_propagate(grid, duration)
     intensity = np.abs(screen.psi_primary) ** 2
 
-    rng = rng or np.random.default_rng()
     window = np.abs(screen.x) <= screen_halfwidth
     xs = screen.x[window]
     p = intensity[window]

@@ -206,15 +206,18 @@ def test_criterion_06_entanglement_swap():
     counts = {kind: 0 for kind in BellKind}
     worst = 1.0
     seen = set()
+    # every run reads the literal map; each prediction must be the derived map's
     mapping = swap_outcome_map()
+    derived_ok = True
     for _ in range(shots):
-        res = run_entanglement_swap(rng, outcome_map=mapping)
+        res = run_entanglement_swap(rng)
         counts[res.outcome] += 1
         seen.add(res.outcome)
         worst = min(worst, res.fidelity_with_prediction)
+        derived_ok &= res.predicted_remote_kind == mapping[res.outcome]
     sigma = np.sqrt(0.25 * 0.75 / shots)
     freq_ok = all(abs(counts[k] / shots - 0.25) < 3.0 * sigma for k in BellKind)
-    ok = worst > 1.0 - 1e-10 and freq_ok and len(seen) == 4
+    ok = worst > 1.0 - 1e-10 and freq_ok and len(seen) == 4 and derived_ok
     fr = {k.value: counts[k] / shots for k in BellKind}
     _report(6, "entanglement swap", ok,
             f"min fidelity {worst:.12f}, frequencies {fr}")

@@ -406,9 +406,9 @@ def test_algebra_tolerance_still_catches_a_wrong_factor(tmp_path, capsys, monkey
 
     ladder = fock._ladder
 
-    def off(grid, index, delta):
-        rows, factors = ladder(grid, index, delta)
-        return rows, factors * (1 + 2e-11) if delta > 0 else factors
+    def off(grid, index, delta, mode):
+        shift, factor = ladder(grid, index, delta, mode)
+        return shift, factor * (1 + 2e-11) if delta > 0 else factor
 
     monkeypatch.setattr(fock, "_ladder", off)
     code, gate = algebra_gate(10000, tmp_path)

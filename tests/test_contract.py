@@ -4,8 +4,12 @@ Every dual object (DualRegister, DualFockState, WaveGrid) and every builder
 that normalizes raw input (from_amplitudes, from_samples) must reject a NaN
 or inf anywhere in the primary or the shadow. Each dual object holds its two
 records as one read-only pair. The sampler must never return an outcome whose
-probability is round-off noise.
+probability is round-off noise. No source file builds a generator without a
+seed.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,3 +329,28 @@ def test_collapse_top_draw_stays_in_occupied_zone():
     assert rng.draws == 1
     assert zone == 0
     assert collapsed.mirror_deviation() == 0.0
+
+
+def _unseeded_generators(path):
+    """The lines of every default_rng call in a source file that passes no seed."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and not node.args and not node.keywords
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "default_rng"]
+
+
+def test_every_generator_in_the_package_is_seeded():
+    # explicit seed, byte-identical output: a generator seeded from the OS
+    # would make some output depend on the run
+    sources = sorted((Path(__file__).resolve().parents[1] / "src" / "shadowsim").glob("*.py"))
+    assert sources
+    unseeded = [f"{path.name}:{line}" for path in sources for line in _unseeded_generators(path)]
+    assert not unseeded, f"default_rng() without a seed at {', '.join(unseeded)}"
+
+
+def test_the_seed_guard_sees_every_spelling(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("import numpy as np\nfrom numpy.random import default_rng\n"
+                    "a = np.random.default_rng()\nb = default_rng()\n"
+                    "c = np.random.default_rng(0)\nd = default_rng(seed=1)\n")
+    assert _unseeded_generators(path) == [3, 4]

@@ -9,12 +9,12 @@ from shadowsim.measurement import (
     X_BASIS,
     Z_BASIS,
     bell_measure,
-    bell_outcome_probabilities,
-    born_probabilities,
     measure_shots,
     projective_measure,
 )
 from shadowsim.register import BellKind, bell_pair, fidelity, from_amplitudes, tensor
+
+from oracles import bell_outcome_probabilities, born_probabilities
 
 
 def random_state(n, rng):
@@ -30,18 +30,40 @@ def random_basis(rng):
 
 # --- Born probabilities ---------------------------------------------------------
 
+# 64 uniforms spread evenly over [0, 1): every outcome above 1/64 is drawn
+SPREAD = (np.arange(64)[:, None] + 0.5) / 64
+
+
+def assert_walk_holds_to(oracle, state, targets, basis, labels):
+    """One measure_shots step's record probabilities within 1e-12 of the
+    oracle's {outcome: p}, with every outcome above 1/64 drawn."""
+    paths, _ = measure_shots(state, [(targets, basis, labels)], SPREAD)
+    walked = {record.outcome: record.probability for record, in paths}
+    assert set(walked) >= {k for k, p in oracle.items() if p > 1 / 64}
+    for k, p in walked.items():
+        assert p == pytest.approx(oracle[k], abs=1e-12)
+
+
+def check_born(state, qubit, basis):
+    """The oracle's probabilities of one qubit in a basis, after holding the
+    measure_shots records to them."""
+    p = born_probabilities(state, qubit, basis)
+    assert_walk_holds_to(dict(enumerate(p)), state, [qubit], basis, (0, 1))
+    return p
+
+
 def test_phi_plus_half_half():
-    p = born_probabilities(bell_pair(BellKind.PHI_PLUS), 0, Z_BASIS)
+    p = check_born(bell_pair(BellKind.PHI_PLUS), 0, Z_BASIS)
     assert p == pytest.approx((0.5, 0.5), abs=1e-14)
 
 
 def test_eigenstate_certain():
-    p = born_probabilities(from_amplitudes([1, 0], 1), 0, Z_BASIS)
+    p = check_born(from_amplitudes([1, 0], 1), 0, Z_BASIS)
     assert p == pytest.approx((1.0, 0.0), abs=1e-14)
 
 
 def test_squared_moduli():
-    p = born_probabilities(from_amplitudes([0.6, 0.8j], 1), 0, Z_BASIS)
+    p = check_born(from_amplitudes([0.6, 0.8j], 1), 0, Z_BASIS)
     assert p == pytest.approx((0.36, 0.64), abs=1e-14)
 
 
@@ -49,19 +71,19 @@ def test_probabilities_sum_to_one():
     rng = np.random.default_rng(8)
     for _ in range(30):
         state = random_state(int(rng.integers(1, 5)), rng)
-        p0, p1 = born_probabilities(state, 0, random_basis(rng))
+        p0, p1 = check_born(state, 0, random_basis(rng))
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_non_orthonormal_basis_rejected():
+    basis = np.array([[1, 1], [0, 1]], dtype=complex)
     with pytest.raises(ValueError):
-        born_probabilities(from_amplitudes([1, 0], 1), 0,
-                           np.array([[1, 1], [0, 1]], dtype=complex))
+        measure_shots(from_amplitudes([1, 0], 1), [([0], basis, (0, 1))], SPREAD)
 
 
 def test_qubit_out_of_range():
     with pytest.raises(IndexError):
-        born_probabilities(from_amplitudes([1, 0], 1), 3, Z_BASIS)
+        measure_shots(from_amplitudes([1, 0], 1), [([3], Z_BASIS, (0, 1))], SPREAD)
 
 
 # --- projective measurement -------------------------------------------------------
@@ -142,6 +164,7 @@ def test_teleport_state_equal_branch_weights():
         vec = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         state = tensor(from_amplitudes(vec, 1), bell_pair(BellKind.PHI_MINUS))
         probs = bell_outcome_probabilities(state, (0, 1))
+        assert_walk_holds_to(probs, state, (0, 1), BELL_BASIS, BELL_LABELS)
         for kind in BellKind:
             assert probs[kind] == pytest.approx(0.25, abs=1e-12)
 
@@ -156,6 +179,7 @@ def test_bell_eigenstate():
 def test_double_singlet_equal_weights():
     state = tensor(bell_pair(BellKind.PSI_MINUS), bell_pair(BellKind.PSI_MINUS))
     probs = bell_outcome_probabilities(state, (1, 2))
+    assert_walk_holds_to(probs, state, (1, 2), BELL_BASIS, BELL_LABELS)
     for kind in BellKind:
         assert probs[kind] == pytest.approx(0.25, abs=1e-12)
 
@@ -170,14 +194,18 @@ def test_bell_measure_remote_consistency():
         assert fidelity(rec.remote_state_via_shadow,
                         rec.remote_state_direct) >= 1.0 - 1e-10
         assert rec.post_state.mirror_deviation() < 1e-12
+        # unequal weights on either order of the pair tell the four labels apart
+        assert_walk_holds_to(bell_outcome_probabilities(state, pair), state, pair,
+                             BELL_BASIS, BELL_LABELS)
 
 
 def test_bell_measure_validation():
     state = bell_pair(BellKind.PHI_PLUS)
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        bell_measure(state, (0, 0))
+        bell_measure(state, (0, 0), rng)
     with pytest.raises(IndexError):
-        bell_measure(state, (0, 2))
+        bell_measure(state, (0, 2), rng)
 
 
 def test_no_signalling_marginals():

@@ -18,13 +18,11 @@ from shadowsim.measurement import X_BASIS, Z_BASIS, projective_measure
 from shadowsim.protocols import (
     ProductStateStats,
     ReadoutStats,
-    derive_correction_table,
     entangled_readout_demo,
     product_plus_state,
     product_state_demo,
     run_entanglement_swap,
     run_teleportation,
-    swap_outcome_map,
     swap_shots,
     teleportation_shots,
 )
@@ -34,12 +32,12 @@ SEEDS = range(5)
 SHOTS = (1, 3, 50, 200)
 
 
-def old_teleport(alpha, beta, resource, shots, rng, table):
-    return [run_teleportation(alpha, beta, resource, rng, table) for _ in range(shots)]
+def old_teleport(alpha, beta, resource, shots, rng):
+    return [run_teleportation(alpha, beta, resource, rng) for _ in range(shots)]
 
 
-def old_swap(shots, rng, mapping):
-    return [run_entanglement_swap(rng, mapping) for _ in range(shots)]
+def old_swap(shots, rng):
+    return [run_entanglement_swap(rng) for _ in range(shots)]
 
 
 def old_readout(shots, rng):
@@ -127,10 +125,9 @@ def expand(old, results, index):
 def test_teleportation_shots_match_the_loop(seed, shots):
     resource = list(BellKind)[seed % 4]
     alpha, beta = complex(0.3, 0.1 * seed), complex(-0.5, 0.7)
-    table = derive_correction_table(resource)
     old_rng, new_rng = rngs(seed)
-    old = old_teleport(alpha, beta, resource, shots, old_rng, table)
-    new = expand(old, *teleportation_shots(alpha, beta, resource, shots, new_rng, table))
+    old = old_teleport(alpha, beta, resource, shots, old_rng)
+    new = expand(old, *teleportation_shots(alpha, beta, resource, shots, new_rng))
     assert per_shot(new, "fidelity_with_input") == per_shot(old, "fidelity_with_input")
     assert_same_stream(old_rng, new_rng)
 
@@ -138,10 +135,9 @@ def test_teleportation_shots_match_the_loop(seed, shots):
 @pytest.mark.parametrize("shots", SHOTS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_swap_shots_match_the_loop(seed, shots):
-    mapping = swap_outcome_map()
     old_rng, new_rng = rngs(seed)
-    old = old_swap(shots, old_rng, mapping)
-    new = expand(old, *swap_shots(shots, new_rng, mapping))
+    old = old_swap(shots, old_rng)
+    new = expand(old, *swap_shots(shots, new_rng))
     fid = "fidelity_with_prediction"
     assert per_shot(new, fid) == per_shot(old, fid)
     assert [r.predicted_remote_kind for r in new] == [r.predicted_remote_kind for r in old]
@@ -177,14 +173,13 @@ def test_cli_rows_match_the_loops(seed):
     # the teleport and swap documents: one row per shot, worst cases over shots
     args = argparse.Namespace(alpha=0.6, beta=0.8j, resource="psi-plus", shots=40)
     old_rng, new_rng = rngs(seed)
-    old = old_teleport(0.6, 0.8j, BellKind.PSI_PLUS, 40, old_rng,
-                       derive_correction_table(BellKind.PSI_PLUS))
+    old = old_teleport(0.6, 0.8j, BellKind.PSI_PLUS, 40, old_rng)
     results, invariants, *_ = cli._cmd_teleport(args, new_rng)
     rows = [(row["outcome"], row["probability"], row["fidelity"]) for row in results["shots"]]
     assert rows == [(r.outcome.value, r.probability, r.fidelity_with_input) for r in old]
     assert results["min_fidelity"] == min([1.0] + [r.fidelity_with_input for r in old])
     assert invariants["mirror"]["residual"] == max([0.0] + [r.shadow_deviation for r in old])
-    old = old_swap(40, old_rng, swap_outcome_map())
+    old = old_swap(40, old_rng)
     results, invariants, *_ = cli._cmd_swap(args, new_rng)
     assert [row["outcome"] for row in results["shots"]] == [r.outcome.value for r in old]
     assert results["min_fidelity"] == min([1.0] + [r.fidelity_with_prediction for r in old])

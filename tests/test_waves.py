@@ -346,11 +346,11 @@ def test_shadow_lockstep_through_slit_run():
 
 def test_double_slit_validation():
     with pytest.raises(ValueError):
-        double_slit_accumulate(GEOM, 0, 16)
+        double_slit_accumulate(GEOM, 0, 16, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        double_slit_accumulate(GEOM, 10, 1)
+        double_slit_accumulate(GEOM, 10, 1, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        double_slit_accumulate(GEOM, 10, 16, slits="top")
+        double_slit_accumulate(GEOM, 10, 16, np.random.default_rng(0), slits="top")
 
 
 def test_packet_at_or_past_the_nyquist_wave_number_is_rejected():
