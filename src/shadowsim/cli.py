@@ -524,65 +524,51 @@ SUBCOMMANDS = {
 }
 
 
+# each subcommand's options after the four that all take (see _table), one
+# (dest, type, default, choices) row each in `--help` order; the option is
+# "--" and the dest with "-" for "_", and type bool marks a bare flag
+OPTIONS = {
+    "teleport": (("alpha", _parse_complex, complex(0.6), None),
+                 ("beta", _parse_complex, 0.8j, None),
+                 ("resource", str, BellKind.PHI_MINUS.value, sorted(RESOURCE_NAMES))),
+    "algebra": (("modes", int, 3, None), ("nmax", int, 4, None),
+                ("statistics", str, "boson", ["boson", "fermion"])),
+    "evolve": (("points", int, 1024, None), ("xmin", float, -20.0, None),
+               ("xmax", float, 20.0, None), ("sigma", float, 1.0, None),
+               ("x0", float, 0.0, None), ("k0", float, 0.0, None),
+               ("dt", float, 0.002, None), ("steps", int, 500, None),
+               ("potential", str, "free", ["free", "harmonic"])),
+    "collapse": (("points", int, 512, None), ("zones", int, 4, None)),
+    "doubleslit": (("separation", float, 5.0, None), ("width", float, 0.1, None),
+                   ("distance", float, 100.0, None), ("wavelength", float, 0.05, None),
+                   ("bins", int, 64, None), ("single_slit", bool, False, None)),
+}
+
+
+@functools.cache
+def _table(name):
+    """A subcommand's option rows by long option, and its namespace at the
+    defaults, as parse_args([name]) makes it.  The rows are --seed, --shots at
+    its SUBCOMMANDS default, --format and --output, then its OPTIONS."""
+    rows = (("seed", int, 0, None), ("shots", int, SUBCOMMANDS[name][2], None),
+            ("format", str, "json", ["json", "csv"]), ("output", str, None, None),
+            *OPTIONS.get(name, ()))
+    return ({"--" + row[0].replace("_", "-"): row for row in rows},
+            {"subcommand": name, **{dest: default for dest, _, default, _ in rows}})
+
+
 def build_parser():
-    parser = _Parser(
-        prog="shadowsim",
-        description="dual-register (shadow) quantum simulator demonstrations",
-    )
+    parser = _Parser(prog="shadowsim",
+                     description="dual-register (shadow) quantum simulator demonstrations")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    subparsers = {}
-    for name, (_, help_text, shots, _) in SUBCOMMANDS.items():
-        p = subparsers[name] = sub.add_parser(name, help=help_text)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--shots", type=int, default=shots)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--output", default=None)
-
-    p = subparsers["teleport"]
-    p.add_argument("--alpha", type=_parse_complex, default=complex(0.6))
-    p.add_argument("--beta", type=_parse_complex, default=0.8j)
-    p.add_argument("--resource", choices=sorted(RESOURCE_NAMES),
-                   default=BellKind.PHI_MINUS.value)
-
-    p = subparsers["algebra"]
-    p.add_argument("--modes", type=int, default=3)
-    p.add_argument("--nmax", type=int, default=4)
-    p.add_argument("--statistics", choices=["boson", "fermion"], default="boson")
-
-    p = subparsers["evolve"]
-    p.add_argument("--points", type=int, default=1024)
-    p.add_argument("--xmin", type=float, default=-20.0)
-    p.add_argument("--xmax", type=float, default=20.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--k0", type=float, default=0.0)
-    p.add_argument("--dt", type=float, default=0.002)
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--potential", choices=["free", "harmonic"], default="free")
-
-    p = subparsers["collapse"]
-    p.add_argument("--points", type=int, default=512)
-    p.add_argument("--zones", type=int, default=4)
-
-    p = subparsers["doubleslit"]
-    p.add_argument("--separation", type=float, default=5.0)
-    p.add_argument("--width", type=float, default=0.1)
-    p.add_argument("--distance", type=float, default=100.0)
-    p.add_argument("--wavelength", type=float, default=0.05)
-    p.add_argument("--bins", type=int, default=64)
-    p.add_argument("--single-slit", action="store_true")
+    for name, (_, help_text, _, _) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option, (_, kind, default, choices) in _table(name)[0].items():
+            if kind is bool:
+                p.add_argument(option, action="store_true")
+            else:
+                p.add_argument(option, type=kind, default=default, choices=choices)
     return parser
-
-
-def _config_echo(args):
-    skip = {"format", "output"}
-    cfg = {}
-    for key in sorted(vars(args)):
-        if key in skip:
-            continue
-        val = getattr(args, key)
-        cfg[key] = val
-    return cfg
 
 
 @functools.cache
@@ -591,73 +577,64 @@ def _parser():
     return build_parser()
 
 
-_TABLE_ACTIONS = (argparse._StoreAction, argparse._StoreTrueAction)
-
-
-@functools.cache
-def _option_table(name):
-    """A subcommand's namespace at its defaults, as parse_args([name]) makes
-    it, and its long store and store_true options by option string, read
-    once off the parser's actions."""
-    parser = _parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    options = {option: action for action in sub.choices[name]._actions
-               if type(action) in _TABLE_ACTIONS
-               for option in action.option_strings if option.startswith("--")}
-    return vars(parser.parse_args([name])), options
-
-
 def _read_table(argv):
     """The namespace parse_args(argv) makes, read straight off the option
     table when every token after the subcommand is "--name=value" with an
     exact long option of it, the value passing the option's own type and
-    choices, or a bare store_true flag; None for any other argv, which
-    argparse then parses, so that every help, usage and error text is its."""
+    choices, or a bare flag; None for any other argv, which argparse then
+    parses, so that every help, usage and error text is its."""
     if not argv or argv[0] not in SUBCOMMANDS:
         return None
-    defaults, options = _option_table(argv[0])
+    options, defaults = _table(argv[0])
     values = dict(defaults)
     for token in argv[1:]:
         option, eq, text = token.partition("=")
-        action = options.get(option)
-        if action is None or bool(eq) != (action.nargs is None) or text == "--":
+        row = options.get(option)
+        if row is None or bool(eq) == (row[1] is bool) or text == "--":
             # an unknown or abbreviated option, a value in the next token, a
             # value given to a flag, or the "--" that argparse would drop
             return None
-        if not eq:
-            values[action.dest] = action.const
-            continue
+        dest, kind, _, choices = row
         try:
-            value = text if action.type is None else action.type(text)
+            value = kind is bool or kind(text)  # a bare flag stores True
         except (argparse.ArgumentTypeError, TypeError, ValueError):
             return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        values[action.dest] = value
+        values[dest] = value
     return argparse.Namespace(**values)
 
 
+def _config_echo(args):
+    return {key: val for key, val in sorted(vars(args).items())
+            if key not in ("format", "output")}
+
+
+def _exit(status, message):
+    sys.stderr.write(message + "\n")
+    sys.exit(status)
+
+
 def run(argv=None):
-    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_table(argv)
     if args is None:
-        args = parser.parse_args(argv)
-    where = f"{parser.prog} {args.subcommand}"
+        args = _parser().parse_args(argv)
+    where = f"shadowsim {args.subcommand}"
     if args.shots < 1:
-        parser.exit(2, f"{where}: error: --shots must be >= 1\n")
+        _exit(2, f"{where}: error: --shots must be >= 1")
     if args.seed < 0 or args.seed >= 2 ** 64:
-        parser.exit(2, f"{where}: error: --seed must be a 64-bit unsigned integer\n")
+        _exit(2, f"{where}: error: --seed must be a 64-bit unsigned integer")
     handler, _, _, sampled = SUBCOMMANDS[args.subcommand]
     rng = np.random.default_rng(args.seed) if sampled else None
     try:
         results, invariants, errata, rows = handler(args, rng)
     except InvariantViolation as exc:
-        parser.exit(1, f"{where}: invariant violation: {exc}\n")
+        _exit(1, f"{where}: invariant violation: {exc}")
     except (ValueError, IndexError) as exc:
-        parser.exit(2, f"{where}: error: {exc}\n")
+        _exit(2, f"{where}: error: {exc}")
     except MemoryError as exc:
-        parser.exit(2, f"{where}: error: out of memory: {exc}\n")
+        _exit(2, f"{where}: error: out of memory: {exc}")
     doc = {
         "config": _config_echo(args),
         "results": results,
@@ -673,7 +650,7 @@ def run(argv=None):
             with open(args.output, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            parser.exit(2, f"{where}: error: cannot write {args.output}: {exc.strerror}\n")
+            _exit(2, f"{where}: error: cannot write {args.output}: {exc.strerror}")
     else:
         sys.stdout.write(text)
     failed = [f"{name} residual {v['residual']:.3g} > tolerance {v['tolerance']:.3g}"

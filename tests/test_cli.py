@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import special, stats
 
+from shadowsim import cli
 from shadowsim.cli import (
     ShotRows,
     _chi_square_tail,
@@ -718,6 +719,43 @@ def test_table_read_equals_argparse(argv):
     if parsed is not None and _table_form(argv):
         assert read is not None
     assert code in (None, 0, 2)
+
+
+# the benchmark's warm-up requests, one per subcommand, and the bare flag
+WARM_UP_ARGVS = [
+    ["teleport", "--seed=1", "--shots=50"],
+    ["swap", "--seed=1", "--shots=50"],
+    ["bell", "--seed=1"],
+    ["readout", "--seed=1", "--shots=100"],
+    ["product", "--seed=1", "--shots=50"],
+    ["algebra", "--seed=1", "--modes=2", "--nmax=2"],
+    ["algebra", "--seed=1", "--modes=3", "--nmax=1", "--statistics=fermion"],
+    ["evolve", "--seed=1", "--points=1024", "--steps=100"],
+    ["collapse", "--seed=1", "--shots=200", "--points=256", "--zones=2"],
+    ["doubleslit", "--seed=1", "--shots=2000", "--bins=32"],
+    ["doubleslit", "--seed=1", "--shots=2000", "--bins=32", "--single-slit"],
+    ["erratum", "--seed=1"],
+]
+
+
+@pytest.mark.parametrize("argv", WARM_UP_ARGVS, ids=" ".join)
+def test_a_table_form_request_builds_no_parser(argv, monkeypatch, tmp_path, capsys):
+    # the same request spelled "--name value" goes through argparse; spelled
+    # "--name=value" it must give the same exit code, document and stderr
+    # with no parser built in the process
+    spaced = [part for token in argv for part in token.split("=", 1)]
+    assert _read_table(spaced) is None
+    parsed_code, parsed_doc = invoke(spaced, tmp_path, "spaced.out")
+    parsed_err = capsys.readouterr().err
+
+    def no_parser():
+        raise AssertionError(f"{argv} built the parser")
+
+    monkeypatch.setattr(cli, "_parser", no_parser)
+    code = run(argv + [f"--output={tmp_path / 'equals.out'}"])
+    assert code == parsed_code
+    assert (tmp_path / "equals.out").read_bytes() == parsed_doc
+    assert capsys.readouterr().err == parsed_err
 
 
 # --- validated register builds per request --------------------------------------------------

@@ -5,7 +5,7 @@ that normalizes raw input (from_amplitudes, from_samples) must reject a NaN
 or inf anywhere in the primary or the shadow. Each dual object holds its two
 records as one read-only pair. The sampler must never return an outcome whose
 probability is round-off noise. No source file builds a generator without a
-seed.
+seed or reads argparse's internals.
 """
 
 import ast
@@ -339,12 +339,14 @@ def _unseeded_generators(path):
             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "default_rng"]
 
 
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "shadowsim").glob("*.py"))
+
+
 def test_every_generator_in_the_package_is_seeded():
     # explicit seed, byte-identical output: a generator seeded from the OS
     # would make some output depend on the run
-    sources = sorted((Path(__file__).resolve().parents[1] / "src" / "shadowsim").glob("*.py"))
-    assert sources
-    unseeded = [f"{path.name}:{line}" for path in sources for line in _unseeded_generators(path)]
+    assert SOURCES
+    unseeded = [f"{path.name}:{line}" for path in SOURCES for line in _unseeded_generators(path)]
     assert not unseeded, f"default_rng() without a seed at {', '.join(unseeded)}"
 
 
@@ -354,3 +356,31 @@ def test_the_seed_guard_sees_every_spelling(tmp_path):
                     "a = np.random.default_rng()\nb = default_rng()\n"
                     "c = np.random.default_rng(0)\nd = default_rng(seed=1)\n")
     assert _unseeded_generators(path) == [3, 4]
+
+
+def _argparse_internals(path):
+    """The lines of every argparse._* attribute and every ._actions read in a
+    source file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted({node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                   and (node.attr == "_actions" and isinstance(node.ctx, ast.Load)
+                        or node.attr.startswith("_") and isinstance(node.value, ast.Name)
+                        and node.value.id == "argparse")})
+
+
+def test_no_source_reads_argparse_internals():
+    # options are read off the package's own table: argparse's private
+    # classes and a parser's action list are no interface
+    assert SOURCES
+    reads = [f"{path.name}:{line}" for path in SOURCES for line in _argparse_internals(path)]
+    assert not reads, f"argparse internals read at {', '.join(reads)}"
+
+
+def test_the_argparse_guard_sees_every_spelling(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("import argparse\nclass P(argparse.ArgumentParser):\n"
+                    "    def __init__(self):\n        self._negative_number_matcher = None\n"
+                    "a = argparse._StoreAction\nb = [x for x in p._actions]\n"
+                    "c = p.sub.choices['x']._actions\nd = argparse.Namespace()\n"
+                    "p._actions = []\n")
+    assert _argparse_internals(path) == [5, 6, 7]
