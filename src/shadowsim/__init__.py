@@ -56,7 +56,6 @@ from .protocols import (
     ProductStateStats,
     bell_branches,
     reassemble_branches,
-    teleport_input_state,
     swap_input_state,
     derive_correction_table,
     run_teleportation,

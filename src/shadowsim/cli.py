@@ -34,7 +34,7 @@ from .protocols import (
 # bench/tracing.py wraps them
 from .protocols import derive_correction_table, swap_outcome_map  # noqa: F401
 from .protocols import run_entanglement_swap, run_teleportation  # noqa: F401
-from .register import TOLERANCES, BellKind, InvariantViolation
+from .register import TOLERANCES, BellKind, InvariantViolation, mirror_residuals
 
 RESOURCE_NAMES = {k.value: k for k in BellKind}
 
@@ -421,13 +421,8 @@ def _cmd_collapse(args, rng):
     weights = probs / probs.sum()
     zones = sample_outcome(rng.random(args.shots), weights)
     counts = np.bincount(zones, minlength=args.zones)
-    support_ok, worst_dev = True, 0.0
-    # one collapsed grid per zone that some shot hit
-    for zone in np.flatnonzero(counts):
-        collapsed = waves.collapse_to(grid, partition, zone)
-        worst_dev = max(worst_dev, collapsed.mirror_deviation())
-        inside = collapsed.psi_primary[partition.zone_slice(args.points, zone)]
-        support_ok &= np.count_nonzero(collapsed.psi_primary) == np.count_nonzero(inside)
+    # both rows projected onto each hit zone, each normalized by its own weight there
+    confined = waves._zone_kernel(grid, partition, np.flatnonzero(counts))[1]
     statistic, p_value = _merged_chisquare(counts, weights * args.shots)
     results = {
         "zone_probabilities": [float(p) for p in probs],
@@ -437,8 +432,7 @@ def _cmd_collapse(args, rng):
     }
     invariants = {
         "collapse_statistics": _invariant(1.0 - p_value, 1.0 - 0.001),
-        "support_confinement": _invariant(0.0 if support_ok else 1.0, 0.0),
-        "mirror": _invariant(worst_dev, TOLERANCES["waves"]["mirror"]),
+        "mirror": _invariant(mirror_residuals(confined), TOLERANCES["waves"]["mirror"]),
     }
     rows = [{"zone": i, "probability": float(probs[i]), "count": int(counts[i])}
             for i in range(args.zones)]

@@ -82,11 +82,6 @@ def _joined(qubit, resource):
     return tensor(qubit, bell_pair(resource))
 
 
-def teleport_input_state(alpha, beta, resource=BellKind.PHI_MINUS):
-    """(alpha|u> + beta|d>) on qubit 0 joined with a resource pair on (1, 2)."""
-    return _joined(from_amplitudes([alpha, beta], 1), resource)
-
-
 _SWAP_INPUT = tensor(bell_pair(BellKind.PSI_MINUS), bell_pair(BellKind.PSI_MINUS))
 
 

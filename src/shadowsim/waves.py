@@ -233,18 +233,11 @@ class ZonePartition:
     def zone_count(self):
         return len(self.cut_indices) + 1
 
-    def slices(self, points):
-        """Every zone's slice of a grid of `points` cells, in order."""
-        return [self.zone_slice(points, i) for i in range(self.zone_count)]
-
-    def zone_slice(self, points, i):
-        """Zone i's slice alone, as a list index takes it: a negative i counts
-        from the last zone."""
-        cuts = self.cut_indices
-        if cuts[-1] >= points:
+    def edges(self, points):
+        """0, the cuts, `points`: zone i is cells edges[i] to edges[i + 1]."""
+        if self.cut_indices[-1] >= points:
             raise ValueError("cut index beyond the grid")
-        i = range(len(cuts) + 1)[i]
-        return slice(cuts[i - 1] if i else 0, cuts[i] if i < len(cuts) else points)
+        return np.array((0, *self.cut_indices, points))
 
     @classmethod
     def equal_zones(cls, points, k):
@@ -256,32 +249,48 @@ class ZonePartition:
         return cls(tuple(cuts))
 
 
+def _zone_kernel(grid, partition, zones=None):
+    """Both rows' weights in every zone, (2, zone_count), in one pass over the
+    held pair; given `zones`, also both rows confined to them, (2, points): each
+    cell of a given zone divided by the root of its row's weight there, others 0."""
+    edges = partition.edges(grid.points)
+    sizes = np.diff(edges)
+    density = np.abs(grid.pair) ** 2
+    weights = np.empty((2, sizes.size))
+    # np.take lays the zones of one size out contiguously, so each sums
+    # pairwise, as np.sum sums its slice; equal zones have at most two sizes
+    for size in set(sizes.tolist()):
+        same = sizes == size
+        cells = edges[:-1][same, None] + np.arange(size)
+        weights[:, same] = np.take(density, cells, axis=1).sum(axis=-1)
+    weights *= grid.dx
+    if zones is None:
+        return weights
+    chosen = np.zeros(sizes.size, dtype=bool)
+    chosen[zones] = True
+    empty = np.flatnonzero(chosen & np.any(weights == 0.0, axis=0))
+    if empty.size:
+        raise ValueError(f"zone {empty[0]} has zero weight")
+    # x * (1 / s) is the arithmetic of the complex division x / s, bit for bit
+    scale = 1.0 / np.sqrt(np.where(chosen, weights, np.inf))
+    return weights, grid.pair * np.repeat(scale, sizes, axis=1)
+
+
 def zone_coefficients(grid, partition):
     """Zone weights c_i with sum |c_i|^2 = 1; the in-zone profile keeps the
     pre-collapse interior phase and integrates to one inside its zone."""
-    probs = np.array([
-        np.sum(np.abs(grid.psi_primary[s]) ** 2) * grid.dx
-        for s in partition.slices(grid.points)
-    ])
-    return np.sqrt(probs).astype(complex)
+    return np.sqrt(_zone_kernel(grid, partition)[0]).astype(complex)
 
 
 def zone_profile(grid, partition, i):
     """Normalized in-zone wave function of zone i, zero everywhere else."""
-    s = partition.zone_slice(grid.points, i)
-    prof = np.zeros(grid.points, dtype=complex)
-    inside = grid.psi_primary[s]
-    w = np.sqrt(np.sum(np.abs(inside) ** 2) * grid.dx)
-    if w == 0.0:
-        raise ValueError(f"zone {i} has zero weight")
-    prof[s] = inside / w
-    return prof
+    return _zone_kernel(grid, partition, i)[1][0]
 
 
 def collapse_to(grid, partition, zone):
-    """Both wave functions confined to the zone in one atomic step."""
-    prof = zone_profile(grid, partition, zone)
-    return WaveGrid(grid.x_min, grid.x_max, prof, prof, t=grid.t)
+    """Both wave functions confined to the zone, each by its own weight there."""
+    primary, shadow = _zone_kernel(grid, partition, zone)[1]
+    return WaveGrid(grid.x_min, grid.x_max, primary, shadow, t=grid.t)
 
 
 def collapse_detect(grid, partition, rng):
@@ -356,6 +365,8 @@ def fringe_visibility(x, intensity, spacing):
 
 # cells of the periodic domain the aperture state is propagated on
 SCREEN_POINTS = 8192
+# far-field spreads between each open slit and the domain's edges
+SLIT_CLEARANCE = 4.0
 
 
 def double_slit_accumulate(geometry, shots, bins, rng, wavelength=0.05, slits="both"):
@@ -382,9 +393,9 @@ def double_slit_accumulate(geometry, shots, bins, rng, wavelength=0.05, slits="b
     screen_halfwidth = 3.0 * spacing
     # domain wide enough that the spread packets stay clear of the wrap-around
     spread = duration / (2.0 * geometry.width)
-    half_domain = max(4.0 * screen_halfwidth, 6.0 * spread)
-    x = _cell_centres(-half_domain, half_domain, SCREEN_POINTS)
     half = geometry.separation / 2.0
+    half_domain = max(4.0 * screen_halfwidth, 6.0 * spread, half + SLIT_CLEARANCE * spread)
+    x = _cell_centres(-half_domain, half_domain, SCREEN_POINTS)
     centres = {"both": (-half, half), "left": (-half,), "right": (half,)}.get(slits)
     if centres is None:
         raise ValueError(f"unknown slit selection {slits!r}")

@@ -5,11 +5,14 @@ primary amplitudes and bras written out here, so the tests that hold
 measurement records to them share no code with ``shadowsim.measurement``.
 The oracles trust their input: the checks of a basis and of the target qubits
 are the package's, and the tests hold ``measure_shots`` to them.
+
+``teleport_input_state`` builds the teleportation input the tests measure,
+from the package's public register constructors.
 """
 
 import numpy as np
 
-from shadowsim.register import BellKind
+from shadowsim.register import BellKind, bell_pair, from_amplitudes, tensor
 
 _S = 1.0 / np.sqrt(2.0)
 # the Bell kets in BellKind order (phi+, phi-, psi+, psi-) over |00>, |01>, |10>, |11>,
@@ -39,3 +42,8 @@ def bell_outcome_probabilities(state, pair):
     """Probabilities of the four Bell outcomes on a qubit pair, by BellKind."""
     probs = _probabilities(state, list(pair), BELL_KETS.reshape(4, 2, 2))
     return dict(zip(BellKind, probs.tolist()))
+
+
+def teleport_input_state(alpha, beta, resource=BellKind.PHI_MINUS):
+    """(alpha|u> + beta|d>) on qubit 0 joined with a resource pair on (1, 2)."""
+    return tensor(from_amplitudes([alpha, beta], 1), bell_pair(resource))

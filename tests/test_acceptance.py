@@ -43,10 +43,11 @@ from shadowsim import (
     swap_decomposition,
     swap_outcome_map,
     teleport_decomposition,
-    teleport_input_state,
     tensor,
     vacuum,
 )
+
+from oracles import teleport_input_state
 
 RNG_SEED = 20260826
 
@@ -268,8 +269,9 @@ def test_criterion_09_collapse_statistics():
     shots = 10_000
     grid = gaussian_packet(-6, 6, 512, sigma=1.2, x0=0.4)
     part = ZonePartition.equal_zones(512, 4)
-    probs = np.array([np.sum(np.abs(grid.psi_primary[s]) ** 2) * grid.dx
-                      for s in part.slices(512)])
+    edges = part.edges(512)
+    probs = np.array([np.sum(np.abs(grid.psi_primary[a:b]) ** 2) * grid.dx
+                      for a, b in zip(edges, edges[1:])])
     probs = probs / probs.sum()
     counts = np.zeros(4)
     confinement_exact = True
@@ -277,7 +279,7 @@ def test_criterion_09_collapse_statistics():
         zone, collapsed = collapse_detect(grid, part, rng)
         counts[zone] += 1
         outside = np.ones(512, dtype=bool)
-        outside[part.slices(512)[zone]] = False
+        outside[edges[zone]:edges[zone + 1]] = False
         if np.any(collapsed.psi_primary[outside] != 0):
             confinement_exact = False
     chi = stats.chisquare(counts, probs * shots)

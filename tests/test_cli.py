@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import special, stats
 
-from shadowsim import cli
+from shadowsim import cli, waves
 from shadowsim.cli import (
     ShotRows,
     _chi_square_tail,
@@ -473,6 +473,73 @@ def test_collapse_single_cell_has_nothing_to_test(argv, tmp_path):
     results = json.loads(doc)["results"]
     assert code == 0
     assert (results["chi_square"], results["p_value"]) == (0.0, 1.0)
+
+
+# --- the collapse mirror: each row projected and normalized in its own zone ----------------
+
+def plant_shadow_defect(monkeypatch, defect):
+    # a kernel copy whose confined shadow row, in the cells of the given zones,
+    # is defect(the shadow confined to every zone, each cell's zone, weights)
+    kernel = waves._zone_kernel
+
+    def planted(grid, partition, zones=None):
+        if zones is None:
+            return kernel(grid, partition)
+        weights, confined = kernel(grid, partition, zones)
+        everywhere = kernel(grid, partition, range(partition.zone_count))[1][1]
+        zone = np.repeat(np.arange(partition.zone_count), np.diff(partition.edges(grid.points)))
+        given = np.isin(zone, zones)
+        confined[1, given] = defect(everywhere, zone, weights)[given]
+        return weights, confined
+
+    monkeypatch.setattr(waves, "_zone_kernel", planted)
+
+
+def collapse_mirror(tmp_path, capsys):
+    code, doc = invoke(["collapse", "--shots", "300", "--seed", "3"], tmp_path)
+    return code, json.loads(doc)["invariants"], capsys.readouterr().err
+
+
+def test_collapse_mirror_holds_on_the_unpatched_kernel(tmp_path, capsys):
+    code, invariants, err = collapse_mirror(tmp_path, capsys)
+    assert code == 0 and err == ""
+    assert list(invariants) == ["collapse_statistics", "mirror"]
+    assert invariants["mirror"]["residual"] == 0.0
+
+
+@pytest.mark.parametrize("defect", [
+    # each zone's shadow read off the next zone's cells (equal zones of 128 cells)
+    lambda row, zone, weights: np.roll(row, -128),
+    # each zone's shadow normalized by the next zone's weight
+    lambda row, zone, weights: row * np.sqrt(weights[1, zone] / weights[1, (zone + 1) % 4]),
+], ids=["neighbouring-zone", "other-zone-weight"])
+def test_collapse_mirror_catches_a_wrong_shadow_projection(defect, monkeypatch, tmp_path,
+                                                           capsys):
+    plant_shadow_defect(monkeypatch, defect)
+    code, invariants, err = collapse_mirror(tmp_path, capsys)
+    assert code == 1
+    assert invariants["mirror"]["ok"] is False
+    assert invariants["collapse_statistics"]["ok"] is True
+    assert err.startswith("shadowsim collapse: invariant violation: mirror residual ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["collapse"],
+    ["collapse", "--points=4096", "--zones=4096", "--shots=100000"],
+])
+def test_a_collapse_request_builds_only_its_packet_grid(argv, monkeypatch, tmp_path):
+    built = []
+    post_init = waves.WaveGrid.__post_init__
+
+    def counting(grid):
+        built.append(grid)
+        post_init(grid)
+
+    monkeypatch.setattr(waves.WaveGrid, "__post_init__", counting)
+    code, _ = invoke(argv, tmp_path)
+    assert code == 0
+    assert len(built) == 1
 
 
 # --- one parser per process ----------------------------------------------------------

@@ -18,11 +18,12 @@ from shadowsim.protocols import (
     swap_input_state,
     swap_outcome_map,
     swap_shots,
-    teleport_input_state,
     teleportation_shots,
 )
 from shadowsim.register import (BellKind, DualRegister, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z,
                                 apply_unitary, bell_pair, fidelity, from_amplitudes)
+
+from oracles import teleport_input_state
 
 
 # --- brute-force Bell expansion -------------------------------------------------

@@ -88,15 +88,12 @@ def old_collapse(points, zones, shots, rng):
     grid = waves.gaussian_packet(-8.0, 8.0, points, sigma=1.0)
     partition = waves.ZonePartition.equal_zones(points, zones)
     counts = np.zeros(zones, dtype=int)
-    support_ok = True
     worst_dev = 0.0
     for _ in range(shots):
         zone, collapsed = waves.collapse_detect(grid, partition, rng)
         counts[zone] += 1
         worst_dev = max(worst_dev, collapsed.mirror_deviation())
-        inside = collapsed.psi_primary[partition.slices(points)[zone]]
-        support_ok &= np.count_nonzero(collapsed.psi_primary) == np.count_nonzero(inside)
-    return counts.tolist(), worst_dev, bool(support_ok)
+    return counts.tolist(), worst_dev
 
 
 def rngs(seed):
@@ -159,12 +156,11 @@ def test_readout_then_product_match_the_loops(seed, shots):
 def test_collapse_matches_the_loop(seed, shots):
     points, zones = (64, 256, 512)[seed % 3], 2 + seed
     old_rng, new_rng = rngs(seed)
-    counts, worst_dev, support_ok = old_collapse(points, zones, shots, old_rng)
+    counts, worst_dev = old_collapse(points, zones, shots, old_rng)
     args = argparse.Namespace(points=points, zones=zones, shots=shots)
     results, invariants, *_ = cli._cmd_collapse(args, new_rng)
     assert results["zone_counts"] == counts
     assert invariants["mirror"]["residual"] == worst_dev
-    assert invariants["support_confinement"]["ok"] is support_ok
     assert_same_stream(old_rng, new_rng)
 
 

@@ -4,6 +4,7 @@ from scipy import stats
 from scipy.stats import norm
 
 from shadowsim.waves import (
+    SLIT_CLEARANCE,
     DoubleSlitResult,
     Potential,
     SlitGeometry,
@@ -11,6 +12,7 @@ from shadowsim.waves import (
     ZonePartition,
     analytic_screen_intensity,
     collapse_detect,
+    collapse_to,
     double_slit_accumulate,
     evolve,
     free_propagate,
@@ -168,7 +170,7 @@ def test_partition_validation():
         ZonePartition((0, 5))
     part = ZonePartition((600,))
     with pytest.raises(ValueError):
-        part.slices(512)
+        part.edges(512)
 
 
 @pytest.mark.parametrize("zones", [513, 600])
@@ -222,6 +224,25 @@ def test_zone_profiles_unit_norm():
         assert np.sum(np.abs(prof) ** 2) * grid.dx == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("points,cuts", [
+    (512, ZonePartition.equal_zones(512, 4).cut_indices),
+    (1000, ZonePartition.equal_zones(1000, 7).cut_indices),
+    (4096, ZonePartition.equal_zones(4096, 3).cut_indices),
+    (4096, ZonePartition.equal_zones(4096, 4096).cut_indices),
+    (300, (1, 7, 100, 101, 250)),
+])
+def test_zone_weights_are_each_slice_summed_alone(points, cuts):
+    # the zones of one size are summed as one block; each weight must keep the
+    # bits of np.sum over its slice, which sums pairwise
+    rng = np.random.default_rng(points)
+    grid = from_samples(-3.0, 5.0, rng.normal(size=points) + 1j * rng.normal(size=points))
+    part = ZonePartition(cuts)
+    edges = (0, *cuts, points)
+    expected = np.array([np.sum(np.abs(grid.psi_primary[a:b]) ** 2) * grid.dx
+                         for a, b in zip(edges, edges[1:])])
+    assert np.array_equal(zone_coefficients(grid, part), np.sqrt(expected).astype(complex))
+
+
 # --- collapse ----------------------------------------------------------------------
 
 def test_collapse_support_confinement():
@@ -230,15 +251,34 @@ def test_collapse_support_confinement():
     part = ZonePartition.equal_zones(512, 4)
     for _ in range(25):
         zone, collapsed = collapse_detect(grid, part, rng)
-        slices = part.slices(512)
-        for k, s in enumerate(slices):
-            seg = collapsed.psi_primary[s]
+        edges = part.edges(512)
+        for k, (a, b) in enumerate(zip(edges, edges[1:])):
+            seg = collapsed.psi_primary[a:b]
             if k == zone:
                 assert np.sum(np.abs(seg) ** 2) * grid.dx == pytest.approx(
                     1.0, abs=1e-10)
             else:
                 assert np.max(np.abs(seg)) == 0.0
         assert collapsed.mirror_deviation() == 0.0
+
+
+def test_collapse_projects_the_shadow_row():
+    # a shadow inside the mirror tolerance of its primary, not equal to it:
+    # the collapsed shadow is the shadow's own profile, not the primary's
+    grid = gaussian_packet(-8, 8, 512, sigma=1.0, k0=0.5)
+    x = grid.x
+    shadow = grid.psi_primary * (1.0 + 1e-11 * np.cos(3.0 * x))
+    assert np.max(np.abs(shadow - grid.psi_primary)) < 1e-10
+    tilted = WaveGrid(grid.x_min, grid.x_max, grid.psi_primary, shadow)
+    part = ZonePartition.equal_zones(512, 4)
+    for zone in range(4):
+        a, b = part.edges(512)[zone:zone + 2]
+        expected = np.zeros(512, dtype=complex)
+        expected[a:b] = shadow[a:b] / np.sqrt(np.sum(np.abs(shadow[a:b]) ** 2) * grid.dx)
+        collapsed = collapse_to(tilted, part, zone)
+        assert np.max(np.abs(collapsed.psi_shadow - expected)) < 1e-15
+        assert np.array_equal(collapsed.psi_primary, zone_profile(tilted, part, zone))
+        assert collapsed.mirror_deviation() > 0.0
 
 
 def test_collapse_idempotent():
@@ -266,7 +306,7 @@ def test_collapse_retains_interior_phase():
     grid = gaussian_packet(-8, 8, 512, sigma=1.0, k0=2.0)
     part = ZonePartition.equal_zones(512, 2)
     prof = zone_profile(grid, part, 0)
-    s = part.slices(512)[0]
+    s = slice(*part.edges(512)[:2])
     ratio = prof[s] / grid.psi_primary[s]
     assert np.max(np.abs(ratio - ratio[0])) < 1e-12
 
@@ -337,6 +377,27 @@ def test_histogram_chi_square_against_analytic():
     expected = probs[keep] / probs[keep].sum() * res.counts[keep].sum()
     chi = stats.chisquare(res.counts[keep], expected)
     assert chi.pvalue > 0.001
+
+
+@pytest.mark.parametrize("slits", ["both", "left"])
+@pytest.mark.parametrize("wavelength", [0.01, 0.007, 0.005])
+def test_short_wavelength_screens_match_the_closed_form(wavelength, slits):
+    # each open slit's far-field packet, intensity std s >= spread and peak a2,
+    # sits SLIT_CLEARANCE spreads inside the periodic domain's edges; then no
+    # cell sees a packet and a wrapped image whose product exceeds a2 * eps,
+    # eps = exp(-(clearance * spread / s)^2 / 2), nor a wrapped amplitude above
+    # sqrt(n a2 eps), so the intensity of n open slits moves by at most 3 n a2 eps
+    res = double_slit_accumulate(GEOM, 10, 16, np.random.default_rng(0),
+                                 wavelength=wavelength, slits=slits)
+    screen = res.screen_grid
+    spread = GEOM.distance * wavelength / (2.0 * np.pi) / (2.0 * GEOM.width)
+    s = np.hypot(GEOM.width, spread)
+    a2 = 1.0 / (np.sqrt(2.0 * np.pi) * s)
+    eps = np.exp(-((SLIT_CLEARANCE * spread / s) ** 2) / 2.0)
+    n = 2 if slits == "both" else 1
+    analytic = analytic_screen_intensity(screen.x, GEOM, wavelength, slits)
+    error = np.abs(np.abs(screen.psi_primary) ** 2 - analytic)
+    assert np.max(error) <= 3 * n * a2 * eps
 
 
 def test_shadow_lockstep_through_slit_run():
