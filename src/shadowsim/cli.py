@@ -422,7 +422,7 @@ def _cmd_collapse(args, rng):
     zones = sample_outcome(rng.random(args.shots), weights)
     counts = np.bincount(zones, minlength=args.zones)
     # both rows projected onto each hit zone, each normalized by its own weight there
-    confined = waves._zone_kernel(grid, partition, np.flatnonzero(counts))[1]
+    confined = waves.confine(grid, partition, np.flatnonzero(counts))
     statistic, p_value = _merged_chisquare(counts, weights * args.shots)
     results = {
         "zone_probabilities": [float(p) for p in probs],

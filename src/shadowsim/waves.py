@@ -282,14 +282,20 @@ def zone_coefficients(grid, partition):
     return np.sqrt(_zone_kernel(grid, partition)[0]).astype(complex)
 
 
+def confine(grid, partition, zones):
+    """Both wave functions confined to `zones`, (2, points): each cell of a
+    given zone divided by the root of its own row's weight there, others 0."""
+    return _zone_kernel(grid, partition, zones)[1]
+
+
 def zone_profile(grid, partition, i):
     """Normalized in-zone wave function of zone i, zero everywhere else."""
-    return _zone_kernel(grid, partition, i)[1][0]
+    return confine(grid, partition, i)[0]
 
 
 def collapse_to(grid, partition, zone):
     """Both wave functions confined to the zone, each by its own weight there."""
-    primary, shadow = _zone_kernel(grid, partition, zone)[1]
+    primary, shadow = confine(grid, partition, zone)
     return WaveGrid(grid.x_min, grid.x_max, primary, shadow, t=grid.t)
 
 
@@ -365,7 +371,8 @@ def fringe_visibility(x, intensity, spacing):
 
 # cells of the periodic domain the aperture state is propagated on
 SCREEN_POINTS = 8192
-# far-field spreads between each open slit and the domain's edges
+# screen packet widths, each the intensity std hypot(slit width, far-field
+# spread), between each open slit and the domain's edges
 SLIT_CLEARANCE = 4.0
 
 
@@ -394,7 +401,8 @@ def double_slit_accumulate(geometry, shots, bins, rng, wavelength=0.05, slits="b
     # domain wide enough that the spread packets stay clear of the wrap-around
     spread = duration / (2.0 * geometry.width)
     half = geometry.separation / 2.0
-    half_domain = max(4.0 * screen_halfwidth, 6.0 * spread, half + SLIT_CLEARANCE * spread)
+    half_domain = max(4.0 * screen_halfwidth, 6.0 * spread,
+                      half + SLIT_CLEARANCE * np.hypot(geometry.width, spread))
     x = _cell_centres(-half_domain, half_domain, SCREEN_POINTS)
     centres = {"both": (-half, half), "left": (-half,), "right": (half,)}.get(slits)
     if centres is None:

@@ -22,6 +22,7 @@ from shadowsim.waves import (
     zone_coefficients,
     zone_profile,
 )
+from shadowsim.waves import _evolved_gaussian
 
 
 def packet_width(grid):
@@ -380,24 +381,31 @@ def test_histogram_chi_square_against_analytic():
 
 
 @pytest.mark.parametrize("slits", ["both", "left"])
-@pytest.mark.parametrize("wavelength", [0.01, 0.007, 0.005])
-def test_short_wavelength_screens_match_the_closed_form(wavelength, slits):
-    # each open slit's far-field packet, intensity std s >= spread and peak a2,
-    # sits SLIT_CLEARANCE spreads inside the periodic domain's edges; then no
-    # cell sees a packet and a wrapped image whose product exceeds a2 * eps,
-    # eps = exp(-(clearance * spread / s)^2 / 2), nor a wrapped amplitude above
-    # sqrt(n a2 eps), so the intensity of n open slits moves by at most 3 n a2 eps
-    res = double_slit_accumulate(GEOM, 10, 16, np.random.default_rng(0),
+@pytest.mark.parametrize("width, wavelength", [(0.1, 0.01), (0.1, 0.007), (0.1, 0.005),
+                                               (1.0, 0.005)])
+def test_short_wavelength_screens_match_the_closed_form(width, wavelength, slits):
+    # each open slit sits SLIT_CLEARANCE screen widths s = hypot(width, spread)
+    # >= width inside the periodic domain's edges, so beyond them lies at most
+    # q = P(|Z| > SLIT_CLEARANCE) of its aperture's norm and of its screen
+    # packet's. Propagation is unitary, so over the domain the propagated state
+    # differs from the closed form by the cut aperture tails and the wrapped
+    # screen tails, each at most sqrt(2 q) per unit-norm slit, summed over n
+    # slits of weight <= 1/sqrt(n), and by renormalizing what is left, 1 - n q
+    geometry = SlitGeometry(separation=5.0, width=width, distance=100.0)
+    res = double_slit_accumulate(geometry, 10, 16, np.random.default_rng(0),
                                  wavelength=wavelength, slits=slits)
     screen = res.screen_grid
-    spread = GEOM.distance * wavelength / (2.0 * np.pi) / (2.0 * GEOM.width)
-    s = np.hypot(GEOM.width, spread)
-    a2 = 1.0 / (np.sqrt(2.0 * np.pi) * s)
-    eps = np.exp(-((SLIT_CLEARANCE * spread / s) ** 2) / 2.0)
-    n = 2 if slits == "both" else 1
-    analytic = analytic_screen_intensity(screen.x, GEOM, wavelength, slits)
-    error = np.abs(np.abs(screen.psi_primary) ** 2 - analytic)
-    assert np.max(error) <= 3 * n * a2 * eps
+    t = geometry.distance * wavelength / (2.0 * np.pi)
+    centres = (-2.5, 2.5) if slits == "both" else (-2.5,)
+    n = len(centres)
+    # the two apertures' amplitudes overlap by exp(-separation^2 / (8 width^2))
+    overlap = (n - 1) * np.exp(-(geometry.separation ** 2) / (8.0 * width ** 2))
+    exact = sum(_evolved_gaussian(screen.x, t, x0, width) for x0 in centres)
+    exact /= np.sqrt(n * (1.0 + overlap))
+    error = np.sqrt(np.sum(np.abs(screen.psi_primary - exact) ** 2) * screen.dx)
+    q = 2.0 * norm.sf(SLIT_CLEARANCE)
+    renormalizing = 1.0 / np.sqrt(1.0 - n * q)
+    assert error <= 2.0 * np.sqrt(2.0 * n * q) * renormalizing + renormalizing - 1.0
 
 
 def test_shadow_lockstep_through_slit_run():
