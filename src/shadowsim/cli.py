@@ -421,7 +421,6 @@ def _cmd_collapse(args, rng):
     weights = probs / probs.sum()
     zones = sample_outcome(rng.random(args.shots), weights)
     counts = np.bincount(zones, minlength=args.zones)
-    # both rows projected onto each hit zone, each normalized by its own weight there
     confined = waves.confine(grid, partition, np.flatnonzero(counts))
     statistic, p_value = _merged_chisquare(counts, weights * args.shots)
     results = {

@@ -249,10 +249,8 @@ class ZonePartition:
         return cls(tuple(cuts))
 
 
-def _zone_kernel(grid, partition, zones=None):
-    """Both rows' weights in every zone, (2, zone_count), in one pass over the
-    held pair; given `zones`, also both rows confined to them, (2, points): each
-    cell of a given zone divided by the root of its row's weight there, others 0."""
+def _zone_weights(grid, partition):
+    """Both rows' weights per zone, (2, zone_count), in one pass over the held pair."""
     edges = partition.edges(grid.points)
     sizes = np.diff(edges)
     density = np.abs(grid.pair) ** 2
@@ -263,29 +261,26 @@ def _zone_kernel(grid, partition, zones=None):
         same = sizes == size
         cells = edges[:-1][same, None] + np.arange(size)
         weights[:, same] = np.take(density, cells, axis=1).sum(axis=-1)
-    weights *= grid.dx
-    if zones is None:
-        return weights
-    chosen = np.zeros(sizes.size, dtype=bool)
-    chosen[zones] = True
-    empty = np.flatnonzero(chosen & np.any(weights == 0.0, axis=0))
-    if empty.size:
-        raise ValueError(f"zone {empty[0]} has zero weight")
-    # x * (1 / s) is the arithmetic of the complex division x / s, bit for bit
-    scale = 1.0 / np.sqrt(np.where(chosen, weights, np.inf))
-    return weights, grid.pair * np.repeat(scale, sizes, axis=1)
+    return weights * grid.dx
 
 
 def zone_coefficients(grid, partition):
     """Zone weights c_i with sum |c_i|^2 = 1; the in-zone profile keeps the
     pre-collapse interior phase and integrates to one inside its zone."""
-    return np.sqrt(_zone_kernel(grid, partition)[0]).astype(complex)
+    return np.sqrt(_zone_weights(grid, partition)[0]).astype(complex)
 
 
 def confine(grid, partition, zones):
     """Both wave functions confined to `zones`, (2, points): each cell of a
     given zone divided by the root of its own row's weight there, others 0."""
-    return _zone_kernel(grid, partition, zones)[1]
+    weights = np.full((2, partition.zone_count), np.inf)  # others scale by 0
+    weights[:, zones] = _zone_weights(grid, partition)[:, zones]
+    empty = np.flatnonzero(np.any(weights == 0.0, axis=0))
+    if empty.size:
+        raise ValueError(f"zone {empty[0]} has zero weight")
+    # x * (1 / s) is the arithmetic of the complex division x / s, bit for bit
+    scale = np.repeat(1.0 / np.sqrt(weights), np.diff(partition.edges(grid.points)), axis=1)
+    return grid.pair * scale
 
 
 def zone_profile(grid, partition, i):
@@ -295,8 +290,7 @@ def zone_profile(grid, partition, i):
 
 def collapse_to(grid, partition, zone):
     """Both wave functions confined to the zone, each by its own weight there."""
-    primary, shadow = confine(grid, partition, zone)
-    return WaveGrid(grid.x_min, grid.x_max, primary, shadow, t=grid.t)
+    return WaveGrid(grid.x_min, grid.x_max, *confine(grid, partition, zone), t=grid.t)
 
 
 def collapse_detect(grid, partition, rng):
@@ -371,8 +365,7 @@ def fringe_visibility(x, intensity, spacing):
 
 # cells of the periodic domain the aperture state is propagated on
 SCREEN_POINTS = 8192
-# screen packet widths, each the intensity std hypot(slit width, far-field
-# spread), between each open slit and the domain's edges
+# screen widths, the intensity std hypot(slit width, spread), from slit to edge
 SLIT_CLEARANCE = 4.0
 
 

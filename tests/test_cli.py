@@ -478,21 +478,19 @@ def test_collapse_single_cell_has_nothing_to_test(argv, tmp_path):
 # --- the collapse mirror: each row projected and normalized in its own zone ----------------
 
 def plant_shadow_defect(monkeypatch, defect):
-    # a kernel copy whose confined shadow row, in the cells of the given zones,
-    # is defect(the shadow confined to every zone, each cell's zone, weights)
-    kernel = waves._zone_kernel
+    # a confine copy whose shadow row, in the cells of the given zones, is
+    # defect(the shadow confined to every zone, each cell's zone, zone weights)
+    confine = waves.confine
 
-    def planted(grid, partition, zones=None):
-        if zones is None:
-            return kernel(grid, partition)
-        weights, confined = kernel(grid, partition, zones)
-        everywhere = kernel(grid, partition, range(partition.zone_count))[1][1]
+    def planted(grid, partition, zones):
+        confined = confine(grid, partition, zones)
+        everywhere = confine(grid, partition, range(partition.zone_count))[1]
         zone = np.repeat(np.arange(partition.zone_count), np.diff(partition.edges(grid.points)))
         given = np.isin(zone, zones)
-        confined[1, given] = defect(everywhere, zone, weights)[given]
-        return weights, confined
+        confined[1, given] = defect(everywhere, zone, waves._zone_weights(grid, partition))[given]
+        return confined
 
-    monkeypatch.setattr(waves, "_zone_kernel", planted)
+    monkeypatch.setattr(waves, "confine", planted)
 
 
 def collapse_mirror(tmp_path, capsys):
