@@ -1,22 +1,21 @@
 """Projective measurement in any orthonormal basis of one or two qubits.
 
 One kernel serves every measurement: ``_contract`` contracts the bras of a
-basis with the target qubits of a register's held primary/shadow pair in one
+basis with the target qubits of a stack of held primary/shadow pairs in one
 matrix product, and ``_embed`` puts an outcome ket back. One walker,
-``measure_shots``, runs a sequence of measurement steps
-(``Z_BASIS``, ``X_BASIS``, any 2x2 basis, or ``BELL_BASIS`` on a pair) for
-many shots at once, collapsing both registers once per distinct outcome path;
-``projective_measure`` and ``bell_measure`` are its one-shot case, each
-drawing one uniform from the caller's generator. It checks
-every step once per walk; the three bases defined here are read-only and
-checked once, at import. It builds post-states only to measure the next step
-on them, each level's as one stack validated in one check
-(``register.check_registers``). Each record keeps the conditional pair of the
-unmeasured qubits and builds its registers when they are read: the
-post-state, and the unmeasured qubits' state read two ways, from the shadow
-register (the nonlocality mechanism under test) and from the primary. Every
-register built is validated; none is kept. ``sample_outcome`` is the
-package's one sampler.
+``measure_shots``, runs a sequence of measurement steps (``Z_BASIS``,
+``X_BASIS``, any 2x2 basis, or ``BELL_BASIS`` on a pair) for many shots at
+once, in one loop over the steps: each level's live outcome paths are one
+stack of post-states, checked in one call (``register.check_registers``) and
+collapsed, primary and shadow, in one product. ``projective_measure`` and
+``bell_measure`` are its one-shot case, each drawing one uniform from the
+caller's generator. Every step is checked once per walk; the three bases
+defined here are read-only and checked once, at import. Each record keeps
+the conditional pair of the unmeasured qubits and builds its registers when
+read: the post-state, and the unmeasured qubits' state read two ways, from
+the shadow register (the nonlocality mechanism under test) and from the
+primary. Every register built is validated; none is kept.
+``sample_outcome`` is the package's one sampler.
 """
 
 from __future__ import annotations
@@ -93,7 +92,7 @@ def _contract(vecs, n, targets, basis):
     lead = vecs.shape[:-1]
     a = vecs.reshape(lead + (2,) * n).transpose(targets_first(lead, n, targets)[0])
     out = np.dot(np.conj(basis).T, a.reshape(2 ** len(targets), -1))
-    return out.reshape((-1,) + lead + (2 ** (n - len(targets)),))
+    return out.reshape(out.shape[:1] + lead + (2 ** (n - len(targets)),))
 
 
 def _embed(conds, n, targets, ket):
@@ -106,14 +105,6 @@ def _embed(conds, n, targets, ket):
     a = np.dot(np.asarray(ket).reshape(2 ** t, 1), conds.reshape(1, -1))
     back = targets_first(lead, n, targets)[1]
     return a.reshape((2,) * t + lead + (2,) * (n - t)).transpose(back).reshape(lead + (-1,))
-
-
-def _branches(pair, n, targets, basis):
-    """The read-only (k, 2, rest) stack of conditional pairs of an n-qubit
-    register's pair, one per basis column, from one product, and their Born
-    probabilities."""
-    conds = read_only(_contract(pair, n, targets, basis))
-    return conds, (np.abs(conds[:, 0]) ** 2).sum(axis=1).tolist()
 
 
 def _post_pair(record):
@@ -139,10 +130,11 @@ def measure_shots(state, steps, u):
 
     Each step is (targets, basis, labels) and measures the post-state of the
     step before it. Row i of u holds shot i's uniforms, one per step, in the
-    order a per-shot loop would draw them. Returns the distinct outcome paths,
-    each a tuple of MeasurementRecords made once, and for each shot the index
-    of its path. Every step is checked once, before any is measured, except
-    that Z_BASIS, X_BASIS and BELL_BASIS were checked at import.
+    order a per-shot loop would draw them. Returns the distinct outcome paths
+    in depth-first order, each a tuple of MeasurementRecords made once, and
+    for each shot the index of its path. Every step is checked once, before
+    any is measured, except that Z_BASIS, X_BASIS and BELL_BASIS were checked
+    at import.
     """
     n = state.qubit_count
     checked = []
@@ -153,29 +145,24 @@ def measure_shots(state, steps, u):
             basis = read_only(np.array(check_unitary(basis, d, "basis")))
         checked.append((targets, basis, labels))
     u = np.asarray(u, dtype=float)
-    if not checked:
-        return [()], np.zeros(len(u), dtype=int)
-    return _walk(state.pair, n, checked, u)
-
-
-def _walk(pair, n, steps, u):
-    """measure_shots on checked steps from an n-qubit pair; post-states are
-    built, as one checked stack, only to measure the next step on them."""
-    (targets, basis, labels), rest = steps[0], steps[1:]
-    conds, probs = _branches(pair, n, targets, basis)
-    drawn = sample_outcome(u[:, 0], probs)
-    outcomes = np.bincount(drawn).nonzero()[0].tolist()
-    records = [MeasurementRecord(labels[k], probs[k], conds[k], n, targets, basis[:, k])
-               for k in outcomes]
-    posts = _post_states(records) if rest else ()
-    paths, index = [], np.empty(len(u), dtype=int)
-    for i, (k, record) in enumerate(zip(outcomes, records)):
-        shots = drawn == k
-        tails, tail_index = [()], 0
-        if rest:
-            tails, tail_index = _walk(posts[i], n, rest, u[shots, 1:])
-        index[shots] = len(paths) + tail_index
-        paths += [(record,) + tail for tail in tails]
+    paths, index, stack = [()], np.zeros(len(u), dtype=int), state.pair[None]
+    for level, (targets, basis, labels) in enumerate(checked):
+        conds = read_only(_contract(stack, n, targets, basis))  # (k, live, 2, rest)
+        probs = (np.abs(conds[:, :, 0]) ** 2).sum(axis=-1)
+        k = len(basis)
+        key = index * k
+        for p in range(len(paths)):
+            shots = index == p
+            key[shots] += sample_outcome(u[shots, level], probs[:, p])
+        # path * k + outcome in ascending order is the depth-first order
+        drawn = np.bincount(key, minlength=len(paths) * k) > 0
+        index = (drawn.cumsum() - 1)[key]
+        live = [divmod(j, k) for j in np.flatnonzero(drawn).tolist()]
+        records = [MeasurementRecord(labels[o], float(probs[o, p]), conds[o, p], n, targets,
+                                     basis[:, o]) for p, o in live]
+        paths = [paths[p] + (record,) for (p, _), record in zip(live, records)]
+        if level + 1 < len(checked):
+            stack = _post_states(records)
     return paths, index
 
 

@@ -288,12 +288,10 @@ def entangled_readout_demo(shots, rng):
     paths, index = measure_shots(bell_pair(BellKind.PHI_PLUS),
                                  [_step(0, Z_BASIS), _step(1, Z_BASIS)], rng.random((shots, 2)))
     firsts = [rec0 for rec0, _ in paths]
-    # each path's far qubit read from the shadow and the state its first
-    # outcome predicts, from_amplitudes's row of the basis column, in one stack
-    expected = (normalized(Z_BASIS[:, rec0.outcome], l2_norm, "coefficients") for rec0 in firsts)
-    qubits = check_registers([*_remote_pairs(firsts), *((v, v) for v in expected)])
-    k = len(paths)
-    fids = [_fidelity(remote, ket[0]) for remote, ket in zip(qubits[:k], qubits[k:])]
+    # each path's far qubit read from the shadow, against the basis column
+    # its first outcome predicts
+    fids = [_fidelity(remote, Z_BASIS[:, rec0.outcome])
+            for remote, rec0 in zip(check_registers(_remote_pairs(firsts)), firsts)]
     counts, corr, ups = {}, 0, 0
     for (rec0, rec1), n in zip(paths, np.bincount(index).tolist()):
         s0, s1 = rec0.outcome, rec1.outcome

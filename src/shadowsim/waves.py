@@ -284,7 +284,8 @@ def confine(grid, partition, zones):
 
 
 def zone_profile(grid, partition, i):
-    """Normalized in-zone wave function of zone i, zero everywhere else."""
+    """Normalized in-zone wave function of zone i, zero everywhere else; for a
+    sequence of zones, the sum of their profiles."""
     return confine(grid, partition, i)[0]
 
 
@@ -343,8 +344,11 @@ def analytic_screen_intensity(x, geometry, wavelength, slits="both"):
     t = geometry.distance / k0
     half = geometry.separation / 2.0
     if slits == "both":
+        # the two apertures overlap by exp(-separation^2 / (8 width^2))
+        r = half / geometry.width
+        norm = np.sqrt(2.0 + 2.0 * np.exp(-0.5 * r * r))
         psi = (_evolved_gaussian(x, t, -half, geometry.width)
-               + _evolved_gaussian(x, t, half, geometry.width)) / np.sqrt(2.0)
+               + _evolved_gaussian(x, t, half, geometry.width)) / norm
     elif slits in ("left", "right"):
         x0 = -half if slits == "left" else half
         psi = _evolved_gaussian(x, t, x0, geometry.width)

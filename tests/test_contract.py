@@ -5,7 +5,7 @@ that normalizes raw input (from_amplitudes, from_samples) must reject a NaN
 or inf anywhere in the primary or the shadow. Each dual object holds its two
 records as one read-only pair. The sampler must never return an outcome whose
 probability is round-off noise. No source file builds a generator without a
-seed or reads argparse's internals.
+seed, calls np.unique or reads argparse's internals.
 """
 
 import ast
@@ -356,6 +356,38 @@ def test_the_seed_guard_sees_every_spelling(tmp_path):
                     "a = np.random.default_rng()\nb = default_rng()\n"
                     "c = np.random.default_rng(0)\nd = default_rng(seed=1)\n")
     assert _unseeded_generators(path) == [3, 4]
+
+
+# np.unique and the set routines that call it: numpy's first call to it in a
+# process costs milliseconds of lazy loading, which a request would pay
+UNIQUE_FAMILY = {"unique", "unique_all", "unique_counts", "unique_inverse", "unique_values",
+                 "union1d", "intersect1d", "setdiff1d", "setxor1d"}
+
+
+def _unique_calls(path):
+    """The lines of every attribute read or import of np.unique's family in a
+    source file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr in UNIQUE_FAMILY
+                   or isinstance(node, ast.ImportFrom)
+                   and any(alias.name in UNIQUE_FAMILY for alias in node.names)})
+
+
+def test_no_source_calls_np_unique():
+    # bincount over a known range finds the distinct values without it
+    assert SOURCES
+    calls = [f"{path.name}:{line}" for path in SOURCES for line in _unique_calls(path)]
+    assert not calls, f"np.unique or a set routine built on it at {', '.join(calls)}"
+
+
+def test_the_unique_guard_sees_every_spelling(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("import numpy as np\nfrom numpy import unique as u, sort\n"
+                    "a = np.unique(x, return_counts=True)\nb = numpy.lib.arraysetops.unique\n"
+                    "c = np.union1d(x, y)\nd = sorted(set(x))\nunique = 1\n"
+                    "e = np.bincount(x).nonzero()[0]\n")
+    assert _unique_calls(path) == [2, 3, 4, 5]
 
 
 def _argparse_internals(path):

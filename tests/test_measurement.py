@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from shadowsim import measurement
 from shadowsim.measurement import (
     BELL_BASIS,
     BELL_LABELS,
@@ -303,3 +304,78 @@ def test_measure_shots_with_no_steps_gives_one_empty_path():
     paths, index = measure_shots(bell_pair(BellKind.PHI_PLUS), [], np.zeros((5, 0)))
     assert paths == [()]
     assert index.tolist() == [0] * 5
+
+
+def test_measure_shots_with_no_shots_gives_no_paths():
+    steps = [((0,), Z_BASIS, (0, 1)), ((0, 1), BELL_BASIS, BELL_LABELS)]
+    paths, index = measure_shots(bell_pair(BellKind.PHI_PLUS), steps, np.zeros((0, 2)))
+    assert paths == []
+    assert index.size == 0
+
+
+# --- the walker's one loop over levels ----------------------------------------------
+
+def walk_steps(n, raw_steps):
+    """measure_shots steps from ORACLE_STEP draws on an n-qubit register."""
+    steps = []
+    for kind, a, b in raw_steps:
+        q = a % n
+        if kind == "bell":
+            steps.append(((q, (q + 1 + b % (n - 1)) % n), BELL_BASIS, BELL_LABELS))
+        else:
+            steps.append(((q,), Z_BASIS if kind == "z" else X_BASIS, (0, 1)))
+    return steps
+
+
+class Uniforms:
+    """An rng whose random() returns the given uniforms in order."""
+
+    def __init__(self, us):
+        self.us = iter(us)
+
+    def random(self):
+        return next(self.us)
+
+
+def sequential_path(state, steps, us):
+    """(outcome, probability) of each step of one shot, measured one step at a
+    time by projective_measure and bell_measure on the previous post-state."""
+    rng, path = Uniforms(us), []
+    for targets, basis, _ in steps:
+        rec = (bell_measure(state, targets, rng) if basis is BELL_BASIS
+               else projective_measure(state, targets[0], basis, rng))
+        path.append((rec.outcome, rec.probability))
+        state = rec.post_state
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.lists(ORACLE_STEP, min_size=3, max_size=3),
+       st.integers(0, 2 ** 32 - 1))
+def test_every_shot_follows_the_per_shot_sequential_loop(n, raw_steps, seed):
+    rng = np.random.default_rng(seed)
+    state = random_state(n, rng)
+    steps = walk_steps(n, raw_steps)
+    u = rng.random((30, 3))
+    paths, index = measure_shots(state, steps, u)
+    assert len(set(index.tolist())) == len(paths)
+    for shot, us in enumerate(u):
+        walked = [(rec.outcome, rec.probability) for rec in paths[index[shot]]]
+        assert walked == sequential_path(state, steps, us)
+
+
+def test_each_level_is_one_contraction_and_one_stack_check(monkeypatch):
+    # two phi-plus pairs: each step splits every live path, so a walker that
+    # contracted or checked per outcome would call each more often
+    state = tensor(bell_pair(BellKind.PHI_PLUS), bell_pair(BellKind.PHI_PLUS))
+    steps = [((0,), Z_BASIS, (0, 1)), ((2,), X_BASIS, (0, 1)), ((1, 3), BELL_BASIS, BELL_LABELS)]
+    calls = {"_contract": 0, "check_registers": 0}
+    for name in calls:
+        def counting(*args, _f=getattr(measurement, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(measurement, name, counting)
+    paths, index = measure_shots(state, steps, np.random.default_rng(3).random((400, 3)))
+    assert calls == {"_contract": 3, "check_registers": 2}
+    assert [len({path[:level] for path in paths}) for level in (1, 2)] == [2, 4]
+    assert np.bincount(index).min() > 0

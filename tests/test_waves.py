@@ -359,6 +359,16 @@ def test_narrow_slit_cos_squared_minima():
     assert fringe_visibility(x, intensity, spacing) > 0.999
 
 
+@pytest.mark.parametrize("width", [0.1, 1.0, 2.0])
+def test_two_slit_closed_form_integrates_to_one(width):
+    # the two apertures overlap by exp(-separation^2 / (8 width^2)), 0.044 at
+    # width 1, so dividing their sum by sqrt(2) would give 1.044
+    geometry = SlitGeometry(separation=5.0, width=width, distance=100.0)
+    x = np.linspace(-40.0, 40.0, 16001)
+    intensity = analytic_screen_intensity(x, geometry, 0.05)
+    assert np.sum(intensity) * (x[1] - x[0]) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_single_slit_no_fringes():
     res = double_slit_accumulate(GEOM, 100, 64, np.random.default_rng(1),
                                  slits="left")
